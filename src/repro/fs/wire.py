@@ -395,12 +395,13 @@ class Tship(Message):
 
     * ``reset`` — *data* replaces the standby's copy of the journal
       (full text: header + snapshot group + suffix).  Sent when a
-      session is created, adopted, or compacted.
+      session is created, woken, compacted, or relocated here.
     * ``append`` — *data* extends the standby's copy (suffix records,
       whole lines).  Sent on every journal flush.
-    * ``state`` — *meta* carries the session's park state (``live`` or
-      ``parked``); no data.
-    * ``drop`` — the session closed for good; the standby forgets it.
+    * ``state`` — *meta* carries ``parked`` (the session hibernated
+      on the primary); no data.
+    * ``drop`` — the session left the primary (closed, or relocated
+      by a drain); the standby forgets it.
     * ``ping`` — heartbeat; carries nothing, proves the primary lives.
 
     *seq* is the journal sequence number of the last record covered by

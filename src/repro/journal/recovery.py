@@ -23,8 +23,8 @@ session's genesis.  Either way the recovered screen is byte-identical
 to the last screen the crashed session had fully applied.
 
 Crash recovery is one caller; the same path rehydrates sessions that
-left RAM on purpose — a shard migration's :meth:`~repro.serve.
-SessionHost.adopt` and a hibernation wake both feed :func:`recover`
+left RAM on purpose — a hibernation wake (after an LRU sweep, a shard
+drain or a replica promotion moved the snapshot) feeds :func:`recover`
 the text :meth:`~repro.journal.recorder.SessionRecorder.
 compact_to_text` produced (header + snapshot group, empty suffix).
 """

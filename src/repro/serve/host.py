@@ -37,12 +37,19 @@ journal (PR 4's snapshot+truncate) into one serialized text, spools it
 to a disk file, and tears the world down; the session survives as an
 entry in the ``hibernated`` table.  The next ``Tattach`` naming that
 session **wakes** it: the snapshot text rehydrates a fresh world
-through :func:`repro.journal.recovery.recover` (the same path shard
-migration uses), byte-identically, metered into the ``host.wake_us``
-histograms.  With a budget set, sessions past the least-recently-used
-line are hibernated to make room for new attaches, and a dropped
-connection hibernates its session instead of retiring it — a
-disconnected user becomes a nominal one, parked on disk.
+through :func:`repro.journal.recovery.recover`, byte-identically,
+metered into the ``host.wake_us`` histograms.  With a budget set,
+sessions past the least-recently-used line are hibernated to make room
+for new attaches, and a dropped connection hibernates its session
+instead of retiring it — a disconnected user becomes a nominal one,
+parked on disk.
+
+A session therefore has two residency states, **live** (a resident
+world) and **hibernated** (a spooled snapshot), and one way in: an
+attach builds a fresh world or wakes a snapshot.  Shard drains and
+replica promotion reuse that path — they move snapshots between hosts
+with :meth:`SessionHost.adopt_hibernated` and let the owner's next
+attach wake them.
 """
 
 from __future__ import annotations
@@ -120,9 +127,6 @@ class HostedSession:
         self.metrics = MetricsRegistry(f"session:{session_id}")
         self.oplock = threading.RLock()
         self.closed = False
-        # A parked session was adopted from a draining shard and waits
-        # for its owner to re-attach under the same name.
-        self.parked = False
         # LRU clock for the hibernation budget: the moment of the last
         # applied input (or the build, until one arrives).
         self.last_input = time.monotonic()
@@ -138,9 +142,8 @@ class HostedSession:
             self.journal = None
             self.recorder = None
             if journal_text is not None:
-                # Migration or wake: rebuild the world from the
-                # serialized journal (snapshot group + suffix, PR 4
-                # recovery).
+                # A wake: rebuild the world from the serialized
+                # journal (snapshot group + suffix, PR 4 recovery).
                 from repro.journal.recovery import recover
                 recovery = recover(self.system.help, journal_text)
             if host.record:
@@ -151,21 +154,21 @@ class HostedSession:
                     from repro.journal.record import scan_text
                     scanned = scan_text(journal_text).records
                     if scanned:
-                        # sequence numbering survives the migration
+                        # sequence numbering survives the wake
                         self.journal.seq = scanned[-1].seq
                 self.recorder = attach(self.system.help, self.journal,
                                        context=self.system.context)
                 if journal_text is not None:
                     # the resume index and the journal survive the
                     # rebuild together; re-found the journal on a
-                    # snapshot of the adopted state — the next drain
-                    # or hibernate starts here
+                    # snapshot of the woken state — the next
+                    # hibernate starts here
                     self.recorder.inputs_recorded = recovery.inputs
                     self.recorder.compact()
             feed = host.replica
             if feed is not None and self.journal is not None:
                 # one full reset puts the standby at this exact journal
-                # (genesis or adopted snapshot); every later flush and
+                # (genesis or woken snapshot); every later flush and
                 # compaction ships through the durability hook, so in
                 # sync mode a write is acked only once the standby
                 # holds its record
@@ -376,30 +379,22 @@ class SessionHost:
         """
         self.replica = feed
 
-    def _ship_drop(self, session_id: str) -> None:
-        """Tell the standby *session_id* is gone — best-effort: a
-        standby that misses a drop merely tracks a dead session."""
+    def _ship_note(self, session_id: str, verb: str,
+                   meta: str = "") -> None:
+        """Ship a ``drop`` or a ``state parked`` to the standby —
+        best-effort: a standby that misses one merely tracks a dead
+        session, or miscounts its promoted live/parked split.  A
+        stopped feed (shutdown or kill) ships nothing: its ``Closed``
+        would book to the host ledger, where the audit reads bleed."""
         feed = self.replica
-        if feed is None:
+        if feed is None or feed.stopped:
             return
         try:
             # connection-teardown threads have no metrics context; a
-            # stopped feed's Closed must book to the feed, not the
-            # process default registry
+            # failed ship must book to the feed, not the process
+            # default registry
             with feed.metrics.activate():
-                feed.ship(session_id, "drop", 0)
-        except FsError:
-            pass
-
-    def _ship_state(self, session_id: str, state: str) -> None:
-        """Mirror a live/parked transition — best-effort: the state
-        only splits the standby's promoted live/parked counters."""
-        feed = self.replica
-        if feed is None:
-            return
-        try:
-            with feed.metrics.activate():
-                feed.ship(session_id, "state", 0, meta=state)
+                feed.ship(session_id, verb, 0, meta=meta)
         except FsError:
             pass
 
@@ -410,11 +405,14 @@ class SessionHost:
         session close/hibernate, no replica drops; clients see torn
         connections and the standby sees the feed go silent.  Used by
         chaos tests; a killed host must never be reused.
+
+        The server is severed before the feed is detached, so a write
+        whose flush finds no feed has no connection to be acked on.
         """
         self._killed = True
         self._closing = True
-        self.replica = None
         self.server.kill()
+        self.replica = None
 
     # -- session lifecycle ------------------------------------------------
 
@@ -430,32 +428,13 @@ class SessionHost:
         with self._lock:
             session_id = aname or f"{self.id_prefix}{self._next}"
             self._next += 1
-            existing = self.sessions.get(session_id)
-            claimed = None
-            if existing is not None and existing.parked:
-                # a migrated session waiting for its owner: claim it —
-                # the claimer's identity replaces the stale one and the
-                # LRU clock restarts, or the fresh claim would be the
-                # first hibernation victim
-                existing.parked = False
-                if uname:
-                    existing.uname = uname
-                existing.last_input = time.monotonic()
-                self.metrics.incr("host.sessions.claimed")
-                claimed = existing
-            elif session_id in self.sessions:
+            if session_id in self.sessions:
                 raise Busy(f"session {session_id!r} already attached",
                            path=f"session/{session_id}", op="attach")
-            else:
-                wake_path = self.hibernated.pop(session_id, None)
-                wake_uname = self._hibernated_uname.pop(session_id, None)
-                # reserve the name before the (slow) world build
-                self.sessions[session_id] = None  # type: ignore[assignment]
-        if claimed is not None:
-            # the standby's tracked state follows (outside the host
-            # lock: shipping is an rpc)
-            self._ship_state(claimed.id, "live")
-            return claimed
+            wake_path = self.hibernated.pop(session_id, None)
+            wake_uname = self._hibernated_uname.pop(session_id, None)
+            # reserve the name before the (slow) world build
+            self.sessions[session_id] = None  # type: ignore[assignment]
         try:
             self._ensure_room(exclude=session_id)
             start = time.perf_counter()
@@ -498,47 +477,14 @@ class SessionHost:
         self.metrics.incr("host.sessions.opened")
         return session
 
-    def adopt(self, session_id: str, uname: str,
-              journal_text: str | None) -> HostedSession:
-        """Take over a session migrated from another shard.
-
-        Rebuilds the world from *journal_text* (the source shard's
-        snapshot + journal suffix) and parks the result: the next
-        Tattach naming *session_id* claims it instead of building a
-        fresh world, so the migration is invisible to the client apart
-        from the reconnect.
-        """
-        with self._lock:
-            if session_id in self.sessions:
-                raise Busy(f"session {session_id!r} already attached",
-                           path=f"session/{session_id}", op="adopt")
-            self.sessions[session_id] = None  # type: ignore[assignment]
-        try:
-            self._ensure_room(exclude=session_id)
-            session = HostedSession(self, session_id, uname,
-                                    journal_text=journal_text)
-        except BaseException:
-            with self._lock:
-                self.sessions.pop(session_id, None)
-            raise
-        session.parked = True
-        with self._lock:
-            self.sessions[session_id] = session
-            live = sum(1 for s in self.sessions.values() if s is not None)
-        self.live_peak = max(self.live_peak, live)
-        self.metrics.incr("host.sessions.opened")
-        self.metrics.incr("host.sessions.adopted")
-        # construction shipped the reset as "live"; it is parked
-        self._ship_state(session_id, "parked")
-        return session
-
     def adopt_hibernated(self, session_id: str, uname: str,
                          journal_text: str) -> None:
         """Take over another shard's **hibernated** session.
 
         The snapshot text is re-spooled locally and the session joins
         this host's ``hibernated`` table without ever being resident —
-        a drained shard's nominal users move as files, not worlds.
+        a drained shard's users move as files, not worlds, and the
+        owner's next attach wakes the session here.
         """
         with self._lock:
             if session_id in self.sessions or session_id in self.hibernated:
@@ -558,7 +504,7 @@ class SessionHost:
                 feed.ship(session_id, "reset", 0, journal_text, meta=uname)
             except FsError:
                 pass
-            self._ship_state(session_id, "parked")
+            self._ship_note(session_id, "state", "parked")
 
     def _retire(self, session: HostedSession) -> None:
         with self._lock:
@@ -568,7 +514,7 @@ class SessionHost:
         if not session._hibernating:
             # truly gone — a hibernating session survives as a spooled
             # snapshot and keeps its standby entry
-            self._ship_drop(session.id)
+            self._ship_note(session.id, "drop")
 
     def evict(self, session_id: str) -> None:
         """Force one session out; its connection sees ``Closed``.
@@ -591,7 +537,7 @@ class SessionHost:
                 except OSError:
                     pass
         if discarded:
-            self._ship_drop(session_id)
+            self._ship_note(session_id, "drop")
             return
         if session is None:
             raise NotFound(path=f"session/{session_id}", op="evict")
@@ -657,15 +603,14 @@ class SessionHost:
         self.metrics.incr("host.sessions.hibernated")
         # the compaction already shipped the snapshot text through the
         # durability hook; only the state flips
-        self._ship_state(session_id, "parked")
+        self._ship_note(session_id, "state", "parked")
 
     def _ensure_room(self, exclude: str | None = None) -> None:
         """Hibernate LRU sessions until the budget fits one more world.
 
-        Victims are picked by ``last_input`` (parked sessions, whose
-        clock never restarts, go first by construction).  A victim
-        without a journal cannot hibernate and is evicted instead —
-        the budget is a hard ceiling either way.
+        Victims are picked by ``last_input``.  A victim without a
+        journal cannot hibernate and is evicted instead — the budget
+        is a hard ceiling either way.
         """
         if self.max_live is None:
             return
@@ -761,11 +706,8 @@ class SessionHost:
             return (session_id in self.sessions
                     or session_id in self.hibernated)
 
-    def _session_state(self, session: HostedSession) -> str:
-        return "parked" if session.parked else "live"
-
     def _list_text(self) -> str:
-        """One line per session — live, parked, busy or hibernated.
+        """One line per session — live, busy or hibernated.
 
         Live rows read ``help.windows`` and ``journal.seq``, which a
         concurrent input apply mutates; each row takes its session's
@@ -783,7 +725,7 @@ class SessionHost:
             if s.oplock.acquire(blocking=False):
                 try:
                     lines.append(
-                        f"{s.id}\t{s.uname}\t{self._session_state(s)}"
+                        f"{s.id}\t{s.uname}\tlive"
                         f"\twindows={len(s.system.help.windows)}"
                         f"\trecords="
                         f"{0 if s.journal is None else s.journal.seq}\n")
@@ -813,8 +755,7 @@ class SessionHost:
                     f"state busy\n")
         try:
             h = session.system.help
-            return (f"id {session.id}\nuser {session.uname}\n"
-                    f"state {self._session_state(session)}\n"
+            return (f"id {session.id}\nuser {session.uname}\nstate live\n"
                     f"windows {len(h.windows)}\n"
                     f"records "
                     f"{0 if session.journal is None else session.journal.seq}\n"

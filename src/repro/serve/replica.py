@@ -18,12 +18,12 @@ recover` run on another host.  Three pieces make that real:
   and ``replica.lag_us`` histograms.
 * :class:`ReplicaStandby` — the standby side.  It wraps its own
   :class:`~repro.serve.SessionHost` and installs a ship handler on its
-  wire server; per session it keeps the journal text, the park state
-  and the feed watermark.  :meth:`ReplicaStandby.promote` turns the
-  copies into sessions: every tracked journal enters the host's
-  hibernated table (``adopt_hibernated``), so live sessions re-attach
+  wire server; per session it keeps the journal text, the live/parked
+  state and the feed watermark.  :meth:`ReplicaStandby.promote` turns
+  the copies into sessions: every tracked journal enters the host's
+  hibernated table (``adopt_hibernated``), so every session re-attaches
   exactly like a hibernation wake — the journal tail replays through
-  ``recover()`` — and parked snapshots are simply already there.
+  ``recover()``.
 * :class:`ReplicaPair` — the wiring: one primary, one standby, the
   feed between them, and a kill switch that severs the primary with no
   orderly teardown (the in-process stand-in for SIGKILL).
@@ -39,7 +39,7 @@ The ledger: ``replica.ship.frames == replica.ack.frames + inflight +
 replica.ship.errors`` on the primary (audited by ``host.audit()``),
 and ``replica.sessions.promoted == replica.promoted.live +
 replica.promoted.parked`` on the standby — the lost primary's resident
-plus parked sessions, every one accounted for.
+plus hibernated sessions, every one accounted for.
 """
 
 from __future__ import annotations
@@ -221,6 +221,10 @@ class ReplicaFeed:
 
     # -- introspection ----------------------------------------------------
 
+    @property
+    def stopped(self) -> bool:
+        return self._stopped
+
     def pending(self) -> int:
         """Frames shipped (or queued) but not yet acked."""
         with self._lock:
@@ -262,7 +266,8 @@ class ReplicaFeed:
 
 
 class _Tracked:
-    """The standby's copy of one session: journal text + park state."""
+    """The standby's copy of one session: journal text + live/parked
+    state (``parked``: hibernated on the primary)."""
 
     __slots__ = ("uname", "state", "parts", "seq", "records")
 
@@ -371,13 +376,13 @@ class ReplicaStandby:
     def promote(self) -> dict:
         """Adopt every tracked session; the standby becomes primary.
 
-        Each copy enters the host's hibernated table, so a live
-        session's owner re-attaches exactly like a hibernation wake —
-        ``recover()`` replays the journal tail — and parked snapshots
-        are already in the only place they need to be.  Returns the
-        promotion report; the host keeps serving as an ordinary
-        SessionHost afterwards (the feed handler keeps answering, but
-        a dead primary ships nothing).
+        This is ``adopt_hibernated`` for each tracked journal: every
+        owner re-attaches exactly like a hibernation wake, and
+        ``recover()`` replays the journal tail.  The report's
+        ``live``/``parked`` split says which sessions were resident and
+        which were hibernated on the dead primary.  The host keeps
+        serving as an ordinary SessionHost afterwards (the feed
+        handler keeps answering, but a dead primary ships nothing).
         """
         with self._lock:
             if self.promoted:

@@ -16,14 +16,13 @@ but the attach decision:
   every shard's ``directory``, so the control file lists, stats and
   evicts across all shards no matter which shard serves the read.
 * :meth:`drain_shard` retires a shard gracefully: each live session is
-  flushed and compacted, its journal (snapshot group + suffix, the
-  PR 4 recovery format) is carried to another shard via
-  :meth:`~repro.serve.SessionHost.adopt`, and a placement override
-  routes the session's next attach to its new home.  In-flight RPCs
-  finish first — migration takes each session's oplock.  Hibernated
-  sessions relocate as snapshot files (``adopt_hibernated``) without
-  ever becoming resident, and ``hibernate <id>`` on ``srv/sessions``
-  reaches across shards the same way ``evict`` does.
+  hibernated on the source (under its oplock, so an in-flight RPC
+  finishes first), every snapshot on the source — just hibernated or
+  already nominal — moves to another shard's spool via
+  :meth:`~repro.serve.SessionHost.adopt_hibernated`, and a placement
+  override routes the session's next attach there, where it wakes
+  through the ordinary wake path.  ``hibernate <id>`` on
+  ``srv/sessions`` reaches across shards the same way ``evict`` does.
 
 Sessions are placed by ``crc32(aname)`` over the non-draining shards;
 anonymous attaches round-robin.  Shard ids never collide because each
@@ -34,12 +33,12 @@ shard mints anonymous ids under its own prefix (``sh<i>.<n>``).
 session's journal over the wire as it becomes durable, a monitor
 thread watches the feed heartbeat, and when a primary goes silent
 (``miss`` straight heartbeats) the router **promotes** — the standby
-replays every shipped journal through the PR 4 recovery path, adopts
-the sessions (live ones re-attach exactly like a hibernation wake;
-parked snapshots are already spooled), and the hash slot repoints to
-the promoted host.  ``kill_shard`` is the chaos hook: it crashes a
-primary the way SIGKILL would (connections severed, nothing torn
-down) and lets detection and promotion run for real.
+takes every shipped journal into its hibernated table, so each
+session's owner re-attaches exactly like a hibernation wake, and the
+hash slot repoints to the promoted host.  ``kill_shard`` is the chaos
+hook: it crashes a primary the way SIGKILL would (connections
+severed, nothing torn down) and lets detection and promotion run for
+real.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ import time
 import zlib
 
 from repro.fs import wire
-from repro.fs.errors import Busy, Closed, Invalid, NotFound
+from repro.fs.errors import Busy, Closed, FsError, Invalid, NotFound
 from repro.fs.mux import SocketChannel, channel_pair
 from repro.metrics.counter import MetricsRegistry, current_registry
 from repro.serve.host import SessionHost
@@ -118,7 +117,7 @@ class ShardRouter:
         """The shard that owns *aname*'s session (or will)."""
         with self._lock:
             placed = self._placement.get(aname) if aname else None
-            if placed is not None:
+            if placed is not None and placed not in self._draining:
                 return placed
             active = [i for i in range(len(self.hosts))
                       if i not in self._draining]
@@ -232,11 +231,11 @@ class ShardRouter:
     def promote_shard(self, index: int) -> dict | None:
         """Fail shard *index* over to its standby, repointing the slot.
 
-        The standby replays every shipped journal through recovery and
-        adopts the sessions; the promoted host takes the dead
-        primary's place in ``hosts`` — the placement hash lands on it
-        from now on, so clients re-attach by the same name and find
-        their session parked (hibernated wake) or freshly recovered.
+        The standby takes every shipped journal into its hibernated
+        table; the promoted host takes the dead primary's place in
+        ``hosts`` — the placement hash lands on it from now on, so
+        clients re-attach by the same name and wake their session
+        there.
         Returns the promotion report, or None if already promoted.
         """
         pair = self.pairs[index]
@@ -272,18 +271,17 @@ class ShardRouter:
     # -- drain / migration ------------------------------------------------
 
     def drain_shard(self, index: int) -> list[str]:
-        """Retire shard *index*: migrate every session elsewhere.
+        """Retire shard *index*: move every session to another shard.
 
-        Each live session is closed on the source shard under its
-        oplock (so an in-flight RPC completes first), its journal text
-        is adopted by a destination shard, and a placement override
-        points the session's next attach there.  Hibernated sessions
-        migrate too — their snapshot files move to the destination
-        shard's spool (``adopt_hibernated``) without ever becoming
-        resident, so a drained shard's nominal users survive the
-        drain.  Returns the migrated session ids.  The shard keeps
-        serving non-migrated traffic until its connections drop; new
-        attaches never route to it again.
+        Each live session hibernates on the source (under its oplock,
+        so an in-flight RPC completes first); then every snapshot on
+        the source moves to its new shard's spool with a placement
+        override, and the owner's next attach wakes it there.  An
+        unjournalled session cannot hibernate: it is retired and
+        placed, and its next attach builds a fresh world.  Returns the
+        moved ids, counted as ``router.sessions.migrated`` (live at
+        drain time) or ``router.sessions.relocated`` (already
+        hibernated).  New attaches never route to the shard again.
         """
         with self._lock:
             if index in self._draining:
@@ -294,49 +292,59 @@ class ShardRouter:
             live = [s for s in source.sessions.values() if s is not None]
         migrated: list[str] = []
         for session in live:
-            target = self.shard_for(session.id)
-            if self._migrate(session, self.hosts[target]):
+            if session.recorder is not None:
+                try:
+                    source.hibernate(session.id)
+                except NotFound:
+                    continue  # closed or evicted while we iterated
+            else:
+                with session.oplock:
+                    if not session.close():
+                        continue
+                target = self.shard_for(session.id)
                 with self._lock:
                     self._placement[session.id] = target
-                migrated.append(session.id)
-                self.metrics.incr("router.sessions.migrated")
+            migrated.append(session.id)
+            self.metrics.incr("router.sessions.migrated")
+        was_live = set(migrated)
         for session_id in self._relocate_hibernated(source):
-            migrated.append(session_id)
-            self.metrics.incr("router.sessions.relocated")
+            if session_id not in was_live:
+                migrated.append(session_id)
+                self.metrics.incr("router.sessions.relocated")
         return migrated
 
-    def _migrate(self, session, target_host: SessionHost) -> bool:
-        with session.oplock:
-            if session.closed:
-                return False
-            text = None
-            if session.recorder is not None:
-                with session.metrics.activate():
-                    text = session.recorder.compact_to_text()
-            uname = session.uname
-            session_id = session.id
-            session.close()
-        target_host.adopt(session_id, uname, text)
-        return True
-
     def _relocate_hibernated(self, source: SessionHost) -> list[str]:
-        """Move *source*'s hibernated snapshots to their new shards."""
+        """Move *source*'s hibernated snapshots to their new shards.
+
+        A snapshot that cannot move (unreadable, or its id already on
+        the target) stays in the source's table, where the audit's
+        duplicate check can see it.
+        """
         with source._lock:
-            parked = list(source.hibernated.items())
+            spooled = list(source.hibernated.items())
         moved: list[str] = []
-        for session_id, path in parked:
-            with source._lock:
-                if source.hibernated.get(session_id) is not path:
-                    continue  # woken or evicted while we iterated
-                del source.hibernated[session_id]
-                uname = source._hibernated_uname.pop(session_id, "")
+        for session_id, path in spooled:
             try:
                 text = path.read_text()
             except OSError:
-                continue  # an unreadable snapshot cannot move
+                continue
+            with source._lock:
+                if source.hibernated.get(session_id) is not path:
+                    continue  # woken or evicted while we read
+                del source.hibernated[session_id]
+                uname = source._hibernated_uname.pop(session_id, "")
             target = self.shard_for(session_id)
-            self.hosts[target].adopt_hibernated(session_id, uname, text)
+            try:
+                self.hosts[target].adopt_hibernated(session_id, uname, text)
+            except FsError:
+                with source._lock:
+                    source.hibernated[session_id] = path
+                    source._hibernated_uname[session_id] = uname
+                continue
             source.metrics.incr("host.sessions.hib.out")
+            # the source's standby must forget the session too, or a
+            # failover of the source would resurrect a second copy
+            source._ship_note(session_id, "drop")
             try:
                 path.unlink()
             except OSError:
@@ -388,7 +396,8 @@ class ShardRouter:
         return opened, closed
 
     def audit(self) -> list[str]:
-        """Every shard's audit, plus: no session id live on two shards."""
+        """Every shard's audit, plus: no session id held (live or
+        hibernated) on two shards."""
         problems: list[str] = []
         owner: dict[str, int] = {}
         dups = 0
@@ -399,11 +408,12 @@ class ShardRouter:
                 continue
             problems += [f"shard{i}: {p}" for p in host.audit()]
             with host._lock:
-                ids = [sid for sid, s in host.sessions.items()
-                       if s is not None]
-            for sid in ids:
+                ids = {sid for sid, s in host.sessions.items()
+                       if s is not None}
+                ids.update(host.hibernated)
+            for sid in sorted(ids):
                 if sid in owner:
-                    problems.append(f"session {sid!r} live on shard "
+                    problems.append(f"session {sid!r} held on shard "
                                     f"{owner[sid]} and shard {i}")
                     dups += 1
                 owner[sid] = i

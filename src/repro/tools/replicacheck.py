@@ -54,9 +54,9 @@ from repro.fs.vfs import VFS
 from repro.metrics.counter import MetricsRegistry
 from repro.serve import SessionHost
 from repro.serve.replica import ReplicaFeed, ReplicaStandby
+from repro.tools.servecheck import GOLDENS
 
 WIDTH, HEIGHT = 160, 60
-GOLDENS = pathlib.Path(__file__).resolve().parents[3] / "tests" / "goldens"
 
 # the figures the check drives, in walkthrough order
 FIGURE_NAMES = ("fig05_headers", "fig06_messages", "fig07_stack",

@@ -39,6 +39,7 @@ from repro.fs.mux import (
 )
 from repro.metrics.counter import counter, counters
 from repro.tools.corpus import SRC_DIR
+from repro.tools.figcheck import _first_divergent_line
 from repro.tools.install import System, build_system
 
 MOUNT = "/mnt/help"
@@ -193,14 +194,6 @@ def check_figure(name: str, scenario, transport: str,
         problems.append(f"{name}: no traffic crossed the wire — the "
                         f"session bypassed the remote mount")
     return problems
-
-
-def _first_divergent_line(want: str, got: str) -> int:
-    for i, (a, b) in enumerate(zip(want.splitlines(), got.splitlines()),
-                               start=1):
-        if a != b:
-            return i
-    return min(want.count("\n"), got.count("\n")) + 1
 
 
 def run(transport: str = "socket") -> list[str]:

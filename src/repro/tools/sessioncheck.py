@@ -45,7 +45,6 @@ errors.
 
 from __future__ import annotations
 
-import pathlib
 import sys
 import threading
 import time
@@ -57,11 +56,11 @@ from repro.fs.vfs import VFS
 from repro.journal.log import Journal
 from repro.journal.recorder import attach
 from repro.serve import SessionHost, ShardRouter
+from repro.tools.figcheck import _first_divergent_line
 from repro.tools.install import build_system
-from repro.tools.servecheck import FIGURES
+from repro.tools.servecheck import FIGURES, GOLDENS
 
 WIDTH, HEIGHT = 160, 60
-GOLDENS = pathlib.Path(__file__).resolve().parents[3] / "tests" / "goldens"
 
 # Ledger entries whose values depend on connection identity (the
 # attach name's length changes frame sizes) or are transient gauges;
@@ -141,14 +140,6 @@ def _compare(name: str, got: dict, baseline: dict,
         problems.append(f"{name}: counter bleed — {len(diffs)} ledger "
                         f"entries differ from the solo baseline ({shown})")
     return problems
-
-
-def _first_divergent_line(want: str, got: str) -> int:
-    for i, (a, b) in enumerate(zip(want.splitlines(), got.splitlines()),
-                               start=1):
-        if a != b:
-            return i
-    return min(want.count("\n"), got.count("\n")) + 1
 
 
 def check_transport(transport: str, sessions: int,

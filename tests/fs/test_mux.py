@@ -406,6 +406,19 @@ class TestTransportFaults:
                 client.probe("/notes.txt")
         client.close()
 
+    def test_reply_to_a_departed_peer_books_no_error(self):
+        """A reply flushed after its client hung up is teardown, not an
+        error: ``try_send`` reports -1 and raises nothing, so no
+        ``fs.error.*`` lands on the server's ledger, where a host audit
+        would read it as cross-session bleed.  ``send`` still raises."""
+        client_end, server_end = channel_pair()
+        client_end.close()
+        before = counter("fs.error.closed")
+        assert server_end.try_send(b"orphaned reply") == -1
+        assert counter("fs.error.closed") == before
+        with pytest.raises(Closed):
+            server_end.send(b"orphaned reply")
+
     def test_rpc_after_client_close_raises_closed(self):
         vfs = make_tree()
         server = WireServer(vfs.root)

@@ -194,6 +194,37 @@ class TestFailover:
         with pytest.raises(Busy):
             pair.standby.promote()
 
+    def test_kill_never_acks_a_write_the_standby_missed(self, pair,
+                                                        monkeypatch):
+        """A write that lands while ``kill()`` is under way — after it
+        began, before the server is severed — may be acknowledged only
+        if the standby holds its record."""
+        client, ns = _attach(pair.primary, "alice")
+        ns.append("/s/input", _newwin("/tmp/note", "hello"))
+        held = pair.standby.tracked()["alice"][1]
+        server = pair.primary.server
+        real_kill = server.kill
+        outcome = {}
+
+        def kill_after_a_write():
+            try:
+                ns.append("/s/input", _newwin("/tmp/late", "racing"))
+                outcome["acked"] = True
+            except (FsError, OSError):
+                outcome["acked"] = False
+            real_kill()
+
+        monkeypatch.setattr(server, "kill", kill_after_a_write)
+        pair.primary.kill()
+        assert "acked" in outcome
+        if outcome["acked"]:
+            assert pair.standby.tracked()["alice"][1] > held
+            assert "/tmp/late" in pair.standby.journal_text("alice")
+        try:
+            client.close()
+        except (FsError, OSError):
+            pass
+
     def test_killed_primary_rejects_traffic(self, pair):
         client, ns = _attach(pair.primary, "alice")
         pair.kill_primary()

@@ -6,7 +6,8 @@ same TCP server, mutate same-named files inside their own namespaces
 fault is injected into one of them — and the other's screen, journal
 and counter ledger never notice.  The hibernation tests cover the
 lifecycle fixes: evict/close double-count, torn ``srv/sessions``
-reads, stale parked unames, and the hibernate/wake round trip.
+reads, stale unames after a drain, and the hibernate/wake round
+trip.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.fs.faults import Fault, FaultPlan
 from repro.fs.mux import MuxClient, dial, mount_remote
 from repro.fs.namespace import Namespace
 from repro.fs.vfs import VFS
-from repro.serve import SessionHost, input_line
+from repro.serve import SessionHost, ShardRouter, input_line
 
 
 def _attach(host, aname, addr=None):
@@ -267,28 +268,41 @@ def test_stat_and_list_never_block_on_a_busy_session(monkeypatch):
     assert host.audit() == []
 
 
-def test_claiming_a_parked_session_takes_the_claimer_uname():
-    """A migrated session parked under its old owner must show the
-    claimer's identity once claimed — not the stale uname."""
-    host = SessionHost()
+def test_reattach_after_a_drain_takes_the_new_uname():
+    """A drained session wakes on its new shard for whoever re-attaches
+    under its name: the screen comes back byte for byte, and the
+    listing and stat show the new owner, not the uname it was drained
+    under."""
+    router = ShardRouter(shards=2)
     try:
-        host.adopt("moved", "old-owner", None)
-        before = host._stat_text("moved")
-        assert "user old-owner\n" in before
-        assert "state parked\n" in before
-        channel = host.pipe()
-        client = MuxClient(channel, uname="new-owner", aname="moved")
+        old = MuxClient(router.pipe(), uname="old-owner", aname="moved")
+        ns = Namespace(VFS())
+        ns.mkdir("/s", parents=True)
+        ns.mount(mount_remote(old), "/s")
+        ns.append("/s/input", _newwin("/tmp/note", "carried text\n"))
+        before = ns.read("/s/screen")
+        assert router.drain_shard(router.shard_for("moved")) == ["moved"]
+
+        new = MuxClient(router.pipe(), uname="new-owner", aname="moved")
         try:
-            after = host._stat_text("moved")
-            assert "user new-owner\n" in after
-            assert "state live\n" in after
-            assert "\tnew-owner\tlive\t" in host._list_text()
+            ns2 = Namespace(VFS())
+            ns2.mkdir("/s", parents=True)
+            ns2.mount(mount_remote(new), "/s")
+            assert ns2.read("/s/screen") == before
+            assert "moved\tnew-owner\tlive\t" in ns2.read("/s/srv/sessions")
+            # stat needs one handle across write and read: drive the
+            # (router-federated) control session directly
+            control = router.hosts[0].control_file().open("rw")
+            control.write("stat moved\n")
+            stat = control.read()
+            control.close()
+            assert "user new-owner\n" in stat
+            assert "state live\n" in stat
         finally:
-            client.close()
+            new.close()
     finally:
-        host.close()
-    assert host.audit() == []
-    assert host.metrics.counter("host.sessions.claimed") == 1
+        router.close()
+    assert router.audit() == []
 
 
 def test_hibernate_wake_round_trip_is_byte_identical():

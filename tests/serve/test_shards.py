@@ -3,7 +3,10 @@
 The router's one promise is that sharding is invisible: a session
 behaves identically whichever shard serves it, ``srv/sessions`` spans
 every shard, and a drain — even one racing an in-flight write — moves
-the session without losing a record.
+the session without losing a record.  A drain is hibernate-and-move,
+so on a replicated router the drained session must also leave the
+source's standby: after the source fails over it is still held on
+exactly one shard.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from repro.fs.errors import Closed, NotFound
 from repro.fs.mux import MuxClient, mount_remote
 from repro.fs.namespace import Namespace
 from repro.fs.vfs import VFS
-from repro.serve import ShardRouter, input_line
+from repro.serve import ReplicaStandby, ShardRouter, input_line
 
 
 def _attach(router, aname):
@@ -213,3 +216,122 @@ class TestDrain:
         finally:
             router.close()
         assert router.audit() == []
+
+    def test_drain_of_an_unjournalled_session_places_a_fresh_world(self):
+        """A ``record=False`` session cannot hibernate: the drain
+        retires it on the source, places it on the target and counts
+        it migrated, and the next attach builds a fresh world there."""
+        router = ShardRouter(shards=2, record=False)
+        try:
+            _client, ns = _attach(router, "plain")
+            home = router.shard_for("plain")
+            ns.append("/s/input", _newwin("/tmp/note", "not journalled\n"))
+            assert router.drain_shard(home) == ["plain"]
+            with pytest.raises(Closed):
+                ns.read("/s/screen")
+            target = router.shard_for("plain")
+            assert target != home
+            _client2, ns2 = _attach(router, "plain")
+            assert "plain" in router.hosts[target].sessions
+            assert "not journalled" not in ns2.read("/s/screen")
+            assert router.metrics.counter("router.sessions.migrated") == 1
+            assert router.metrics.counter("router.sessions.relocated") == 0
+        finally:
+            router.close()
+        assert router.audit() == []
+        opened, closed = router.session_ledger()
+        assert opened == closed
+
+    def test_second_drain_moves_a_drained_session_again(self):
+        """A placement override pointing at a draining shard is void:
+        draining a session's new home moves it on to a third shard
+        instead of back onto the shard being drained."""
+        router = ShardRouter(shards=3)
+        try:
+            _client, ns = _attach(router, "nomad")
+            ns.append("/s/input", _newwin("/tmp/note", "still here\n"))
+            before = ns.read("/s/screen")
+            first = router.shard_for("nomad")
+            assert router.drain_shard(first) == ["nomad"]
+            _client2, ns2 = _attach(router, "nomad")
+            second = router.shard_for("nomad")
+            assert ns2.read("/s/screen") == before
+            assert router.drain_shard(second) == ["nomad"]
+            third = router.shard_for("nomad")
+            assert third not in (first, second)
+            _client3, ns3 = _attach(router, "nomad")
+            assert "nomad" in router.hosts[third].sessions
+            assert ns3.read("/s/screen") == before
+        finally:
+            router.close()
+        assert router.audit() == []
+
+
+def _rows(router, session_id):
+    """The srv/sessions rows naming *session_id*, across every shard."""
+    return [line for line in router._list_text().splitlines()
+            if line.split("\t")[0] == session_id]
+
+
+class TestDrainReplicated:
+    """A drain on a replicated router, then the source shard fails."""
+
+    @pytest.mark.parametrize("residency", ["live", "hibernated"])
+    def test_drained_session_is_held_once_across_failover(self, residency):
+        router = ShardRouter(shards=2, max_live=4, replicate=True)
+        try:
+            client, ns = _attach(router, "dormant")
+            home = router.shard_for("dormant")
+            ns.append("/s/input", _newwin("/tmp/note", "parked text\n"))
+            before = ns.read("/s/screen")
+            if residency == "hibernated":
+                router.hibernate("dormant")
+            assert router.drain_shard(home) == ["dormant"]
+            # sync shipping: the drop is on the standby once drain returns
+            assert "dormant" not in router.pairs[home].standby.tracked()
+            assert len(_rows(router, "dormant")) == 1
+            assert router.audit() == []
+
+            router.kill_shard(home)
+            router.promote_shard(home)
+            rows = _rows(router, "dormant")
+            assert len(rows) == 1 and "\thibernated\t" in rows[0]
+            assert router.audit() == []
+
+            _client2, ns2 = _attach(router, "dormant")
+            assert ns2.read("/s/screen") == before
+            assert len(_rows(router, "dormant")) == 1
+        finally:
+            router.close()
+        assert router.audit() == []
+        opened, closed = router.session_ledger()
+        assert opened == closed
+
+    def test_audit_counts_a_session_held_on_two_shards(self, monkeypatch):
+        """Drops are best-effort: a source standby that misses one
+        resurrects the drained session when the source fails over.
+        The audit must see two shards holding it, though one copy is
+        only a hibernated snapshot."""
+        real = ReplicaStandby._apply_ship
+
+        def lose_drops(self, msg):
+            return msg.seq if msg.verb == "drop" else real(self, msg)
+
+        monkeypatch.setattr(ReplicaStandby, "_apply_ship", lose_drops)
+        router = ShardRouter(shards=2, max_live=4, replicate=True)
+        try:
+            client, ns = _attach(router, "dormant")
+            home = router.shard_for("dormant")
+            ns.append("/s/input", _newwin("/tmp/note", "parked text\n"))
+            router.hibernate("dormant")
+            router.drain_shard(home)
+            router.kill_shard(home)
+            router.promote_shard(home)
+            assert len(_rows(router, "dormant")) == 2
+            before = router.metrics.counter("router.sessions.dup")
+            problems = router.audit()
+            assert any("'dormant' held on shard" in p for p in problems)
+            assert router.metrics.counter("router.sessions.dup") \
+                == before + 1
+        finally:
+            router.close()
