@@ -16,11 +16,10 @@ still parked on the spool.
 
 import threading
 
-from repro.fs.mux import MuxClient, mount_remote
-from repro.fs.namespace import Namespace
-from repro.fs.vfs import VFS
+from repro.fs.mux import MuxClient
 from repro.metrics.counter import current_registry
 from repro.serve import SessionHost, input_line
+from repro.tools.scenarios import session_ns
 
 SESSIONS = 10_000   # nominal users cycled through the host
 MAX_LIVE = 256      # the memory budget: resident worlds at any moment
@@ -31,9 +30,7 @@ WAKE_WAVE = 300     # concurrent re-attaches (> MAX_LIVE forces LRU)
 def _session(host, name):
     """Attach *name* and return (client, mounted namespace)."""
     client = MuxClient(host.pipe(), aname=name)
-    ns = Namespace(VFS())
-    ns.mkdir("/s", parents=True)
-    ns.mount(mount_remote(client), "/s")
+    ns = session_ns(client)
     return client, ns
 
 

@@ -20,15 +20,15 @@ from repro.core.render import render_screen
 from repro.journal import Journal, attach
 from repro.journal.recovery import recover
 from repro.tools.install import build_system
-from repro.tools.replaycheck import record_figure, replay_journal
-from repro.tools.servecheck import fig07_stack
+from repro.tools.replaycheck import replay_journal
+from repro.tools.scenarios import fig07_stack, record
 
 N_APPENDS = 1000
 
 
 def test_perf_journal_roundtrip(benchmark):
     def roundtrip():
-        recorded, text = record_figure(fig07_stack)
+        recorded, text = record(fig07_stack)
         replayed, shadow, scan = replay_journal(text)
         return (render_screen(recorded.help) == render_screen(replayed.help),
                 len(scan.records))

@@ -16,13 +16,12 @@ failover / lag percentiles — become the ``replica`` section of
 replica SLO budget table.
 """
 
-from repro.fs.mux import MuxClient, mount_remote
-from repro.fs.namespace import Namespace
-from repro.fs.vfs import VFS
+from repro.fs.mux import MuxClient
 from repro.serve import SessionHost, input_line
 from repro.serve.replica import ReplicaPair
 from repro.tools import benchgate
 from repro.tools.loadgen import LoadGen, build_models, validate
+from repro.tools.scenarios import session_ns
 
 USERS = 1000     # simulated users in the chaos soak
 SHARDS = 4       # replicated shards (each primary gets a standby)
@@ -38,9 +37,7 @@ def test_perf_replica_ship(benchmark):
                        standby_prefix="br.")
     try:
         client = MuxClient(primary.pipe(), aname="bench")
-        ns = Namespace(VFS())
-        ns.mkdir("/s", parents=True)
-        ns.mount(mount_remote(client), "/s")
+        ns = session_ns(client)
         line = input_line("newwin", ("-", "-", "-", "/tmp/note", "text"))
 
         benchmark(ns.append, "/s/input", line)

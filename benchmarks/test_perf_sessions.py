@@ -13,10 +13,9 @@ section of ``BENCH_perf.json``: per-record apply latency histograms
 
 import threading
 
-from repro.fs.mux import MuxClient, dial, mount_remote
-from repro.fs.namespace import Namespace
-from repro.fs.vfs import VFS
+from repro.fs.mux import MuxClient, dial
 from repro.serve import SessionHost, input_line
+from repro.tools.scenarios import session_ns
 
 SESSIONS = 6        # concurrent hosted sessions (acceptance floor is 4)
 RECORDS = 12        # input records each session applies per iteration
@@ -31,9 +30,7 @@ def _drive(host, addr, name):
     channel = dial(*addr) if addr is not None else host.pipe()
     client = MuxClient(channel, aname=name)
     try:
-        ns = Namespace(VFS())
-        ns.mkdir("/s", parents=True)
-        ns.mount(mount_remote(client), "/s")
+        ns = session_ns(client)
         ns.append("/s/input", _SCRIPT)
         return ns.read("/s/screen")
     finally:

@@ -33,8 +33,7 @@ from repro.fs.faults import Fault, FaultPlan, wrap
 from repro.metrics.counter import counter, counters, reset_counters
 from repro.core.render import render_screen
 from repro.tools.install import System, build_system
-
-MOUNT = "/mnt/help"
+from repro.tools.scenarios import MOUNT, report
 
 
 def standard_schedule() -> FaultPlan:
@@ -165,15 +164,10 @@ def main(argv: list[str] | None = None) -> int:
         print("usage: faultcheck [width height]", file=sys.stderr)
         return 2
     problems = run(width, height)
-    for problem in problems:
-        print(f"faultcheck: {problem}", file=sys.stderr)
-    if not problems:
-        tallies = " ".join(f"{k}={v}" for k, v in
-                           sorted(counters("fs.").items()))
-        print("faultcheck: figure session survives the standard "
-              "fault schedule")
-        print(f"faultcheck: {tallies}")
-    return 1 if problems else 0
+    tallies = " ".join(f"{k}={v}" for k, v in sorted(counters("fs.").items()))
+    return report("faultcheck", problems,
+                  "figure session survives the standard fault schedule",
+                  tallies)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI

@@ -19,6 +19,8 @@ from __future__ import annotations
 import pathlib
 import sys
 
+from repro.tools.scenarios import GOLDENS, first_divergent_line, report
+
 DEFAULT_PATTERN = "fig*.txt"
 
 
@@ -42,37 +44,24 @@ def compare(baseline_dir: str | pathlib.Path,
         got = artifact.read_text()
         want = baseline.read_text()
         if got != want:
-            line = _first_divergent_line(want, got)
+            line = first_divergent_line(want, got)
             problems.append(
                 f"{artifact.name}: differs from baseline (first at line {line})")
     return problems
 
 
-def _first_divergent_line(want: str, got: str) -> int:
-    for i, (a, b) in enumerate(zip(want.splitlines(), got.splitlines()),
-                               start=1):
-        if a != b:
-            return i
-    return min(want.count("\n"), got.count("\n")) + 1
-
-
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    root = pathlib.Path(__file__).resolve().parents[3]
     if len(args) == 2:
         baseline_dir, artifact_dir = args
     elif not args:
-        baseline_dir = root / "tests" / "goldens"
-        artifact_dir = root / "bench_artifacts"
+        baseline_dir = GOLDENS
+        artifact_dir = GOLDENS.parents[1] / "bench_artifacts"
     else:
         print("usage: figcheck [baseline_dir artifact_dir]", file=sys.stderr)
         return 2
-    problems = compare(baseline_dir, artifact_dir)
-    for problem in problems:
-        print(f"figcheck: {problem}", file=sys.stderr)
-    if not problems:
-        print("figcheck: all figure artifacts match their baselines")
-    return 1 if problems else 0
+    return report("figcheck", compare(baseline_dir, artifact_dir),
+                  "all figure artifacts match their baselines")
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI

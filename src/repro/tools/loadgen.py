@@ -4,7 +4,7 @@ Every bench so far measures one op at a time; production scale is
 *traffic* — thousands of users arriving with different intents,
 pausing to read, leaving, coming back.  This module turns the PR 4
 record/replay substrate into exactly that: each Figures 5-12 scenario
-is recorded once into a journal (:func:`~repro.tools.sessioncheck.
+is recorded once into a journal (:func:`~repro.tools.scenarios.
 record_figures`), and the recorded input records become a **traffic
 model** — a weighted scenario a simulated user replays through a
 hosted session's ``input`` file, one record per write, with seeded
@@ -81,6 +81,7 @@ from repro.fs.faults import Fault, FaultPlan
 from repro.fs.mux import MuxClient, dial, mount_remote
 from repro.metrics.counter import MetricsRegistry
 from repro.serve import SessionHost, ShardRouter
+from repro.tools.scenarios import record_figures
 
 ARTIFACTS = (pathlib.Path(__file__).resolve().parents[3]
              / "bench_artifacts" / "loadgen")
@@ -151,23 +152,15 @@ class UserPlan:
 
 def build_models(weights: dict[str, float] | None = None
                  ) -> list[TrafficModel]:
-    """Record the Figures 5-12 journals once and weight them.
-
-    Recording replays every scenario locally, which generates fs
-    traffic of its own; it runs under a throwaway registry so a bench
-    or test ledger never inherits the model-building noise.
-    """
-    from repro.tools.sessioncheck import record_figures
-
+    """Record the Figures 5-12 journals once and weight them."""
     chosen = DEFAULT_WEIGHTS if weights is None else weights
-    with MetricsRegistry("loadgen.models").activate():
-        scripts = record_figures()
+    scripts = record_figures()
     models = []
     for name in sorted(chosen):
         if name not in scripts:
             raise ValueError(f"no recorded journal for model {name!r}")
-        lines = tuple(scripts[name]["input"].splitlines(keepends=True))
-        models.append(TrafficModel(name, float(chosen[name]), lines))
+        models.append(TrafficModel(name, float(chosen[name]),
+                                   tuple(scripts[name]["lines"])))
     return models
 
 

@@ -2,8 +2,9 @@
 
 For each of the Figures 5-12 scenarios this check
 
-1. **records** the session: a journal is attached to a fresh system
-   and the scenario drives it exactly as the benchmarks do;
+1. **records** the session (:func:`repro.tools.scenarios.record`): a
+   journal is attached to a fresh system and the scenario drives it
+   exactly as the benchmarks do;
 2. **replays** the journal headlessly into a second fresh system (a
    shadow journal regenerates the trace stream as it goes);
 3. **compares** — the final screen byte-for-byte against the pinned
@@ -40,26 +41,15 @@ from repro.journal import Journal, attach, scan_text
 from repro.journal.recorder import divergence, replay
 from repro.journal.recovery import recover
 from repro.metrics.counter import counter
-from repro.tools.install import System, build_system
-from repro.tools.servecheck import FIGURES, GOLDENS, fig07_stack
+from repro.tools.install import build_system
+from repro.tools.scenarios import (FIGURES, HEIGHT, JOURNAL_PATH, WIDTH,
+                                   MissingGolden, fig07_stack, load_goldens,
+                                   record, report)
 
-JOURNAL_PATH = "/usr/rob/help.journal"
 ARTIFACTS = pathlib.Path("bench_artifacts") / "journals"
 
 
-def record_figure(scenario, width: int = 160, height: int = 60,
-                  trace_screens: bool = False) -> tuple[System, str]:
-    """Drive *scenario* with a journal attached; return (system, text)."""
-    system = build_system(width=width, height=height)
-    journal = Journal.create(system.ns, JOURNAL_PATH)
-    attach(system.help, journal, ns=system.ns, trace_screens=trace_screens)
-    scenario(system)
-    journal.flush()
-    return system, system.ns.read(JOURNAL_PATH)
-
-
-def replay_journal(text: str, width: int = 160, height: int = 60,
-                   trace_screens: bool = False):
+def replay_journal(text: str, trace_screens: bool = False):
     """Replay journal *text* into a fresh system with a shadow journal.
 
     Returns ``(system, shadow_journal, scan)`` — the shadow journal
@@ -68,7 +58,7 @@ def replay_journal(text: str, width: int = 160, height: int = 60,
     scan = scan_text(text)
     if scan.torn:
         raise ValueError(f"journal is torn: {scan.problems}")
-    fresh = build_system(width=width, height=height)
+    fresh = build_system(width=WIDTH, height=HEIGHT)
     shadow = Journal()
     attach(fresh.help, shadow, ns=fresh.ns, trace_screens=trace_screens)
     replay(fresh.help, scan.records)
@@ -78,11 +68,12 @@ def replay_journal(text: str, width: int = 160, height: int = 60,
 def check_figure(name: str, scenario, screens: bool = False) -> list[str]:
     """Record, replay, and compare one figure; report every divergence."""
     problems: list[str] = []
-    golden = GOLDENS / f"{name}.txt"
-    if not golden.exists():
-        return [f"{name}: no golden at {golden}"]
     try:
-        recorded, text = record_figure(scenario, trace_screens=screens)
+        want = load_goldens([name])[name]
+    except MissingGolden as exc:
+        return [f"{name}: {exc}"]
+    try:
+        _recorded, text = record(scenario, trace_screens=screens)
     except Exception as exc:  # noqa: BLE001 - any crash is the finding
         return [f"{name}: recording failed: {exc!r}"]
     try:
@@ -90,9 +81,7 @@ def check_figure(name: str, scenario, screens: bool = False) -> list[str]:
     except Exception as exc:  # noqa: BLE001
         _save_journal(name, text)
         return [f"{name}: replay failed: {exc!r}"]
-    got = render_screen(replayed.help)
-    want = golden.read_text()
-    if got != want:
+    if render_screen(replayed.help) != want:
         problems.append(f"{name}: replayed screen differs from golden")
     div = divergence(scan.records, shadow.records)
     if div is not None:
@@ -104,9 +93,9 @@ def check_figure(name: str, scenario, screens: bool = False) -> list[str]:
     return problems
 
 
-def check_recovery(width: int = 160, height: int = 60) -> list[str]:
+def check_recovery() -> list[str]:
     """A crash-faulted session must recover to its pre-crash screen."""
-    system = build_system(width=width, height=height)
+    system = build_system(width=WIDTH, height=HEIGHT)
     journal = Journal.create(system.ns, JOURNAL_PATH)
     recorder = attach(system.help, journal, ns=system.ns, snapshot_every=3)
     fig07_stack(system)
@@ -122,14 +111,14 @@ def check_recovery(width: int = 160, height: int = 60) -> list[str]:
         pass
     system.ns.unmount("/usr/rob")
     text = system.ns.read(JOURNAL_PATH)
-    fresh = build_system(width=width, height=height)
+    fresh = build_system(width=WIDTH, height=HEIGHT)
     try:
-        report = recover(fresh.help, text)
+        recovered = recover(fresh.help, text)
     except Exception as exc:  # noqa: BLE001
         _save_journal("recovery", text)
         return [f"recovery: recover() failed: {exc!r}"]
     problems: list[str] = []
-    if not report.torn:
+    if not recovered.torn:
         problems.append("recovery: the torn tail went undetected")
     if render_screen(fresh.help, full=True) != pre_crash:
         problems.append("recovery: recovered screen differs from the "
@@ -161,17 +150,15 @@ def main(argv: list[str] | None = None) -> int:
         print("usage: replaycheck [--screens]", file=sys.stderr)
         return 2
     problems = run(screens=screens)
-    for problem in problems:
-        print(f"replaycheck: {problem}", file=sys.stderr)
-    if not problems:
-        mode = "with intermediate screens" if screens else "final screens"
-        print(f"replaycheck: Figures 5-12 replay byte-identical "
-              f"({mode}); crash recovery restores the pre-crash screen")
-        print(f"replaycheck: {counter('journal.append.records')} appended, "
-              f"{counter('journal.replay.records')} scanned, "
-              f"{counter('journal.replay.applied')} applied, "
-              f"{counter('journal.checksum.failed')} checksum failures")
-    return 1 if problems else 0
+    mode = "with intermediate screens" if screens else "final screens"
+    return report(
+        "replaycheck", problems,
+        f"Figures 5-12 replay byte-identical ({mode}); crash recovery "
+        f"restores the pre-crash screen",
+        f"{counter('journal.append.records')} appended, "
+        f"{counter('journal.replay.records')} scanned, "
+        f"{counter('journal.replay.applied')} applied, "
+        f"{counter('journal.checksum.failed')} checksum failures")
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI

@@ -11,9 +11,10 @@ proves the replication story end to end with a **real process kill**:
    replica.ReplicaFeed` dials the standby over that socket in ``sync``
    mode — every acknowledged write is durably on the standby first;
 2. each Figures 5-12 scenario is recorded locally into its input
-   records (the same traffic models loadgen replays); the parent
-   attaches one session per figure to the child and writes a *seeded
-   prefix* of each figure's records — every figure is mid-stream;
+   records (:func:`repro.tools.scenarios.record_figures`, the same
+   traffic models loadgen replays); the parent attaches one session
+   per figure to the child and writes a *seeded prefix* of each
+   figure's records — every figure is mid-stream;
 3. the parent sends the child a real ``SIGKILL``.  No teardown, no
    flush, no goodbye: exactly the failure the journal-shipping design
    claims to survive;
@@ -32,9 +33,11 @@ proves the replication story end to end with a **real process kill**:
 
     python -m repro.tools.replicacheck [--figures N] [--seed S]
 
-``--figures N`` narrows the sweep to the first N figures (the test
-suite's fast path).  ``--primary --standby HOST:PORT`` is the child
-entry — not for humans.  Exit 0 when every screen matches, 1 on any
+Every golden is loaded before the child is spawned, so a missing
+one is reported without killing anything.  ``--figures N`` narrows
+the sweep to the first N figures (the test suite's fast path).
+``--primary --standby HOST:PORT`` is the child entry — not for
+humans.  Exit 0 when every screen matches, 1 on any
 divergence or lost write, 2 on usage errors.
 """
 
@@ -48,20 +51,12 @@ import sys
 import time
 
 from repro.fs.errors import FsError
-from repro.fs.mux import MuxClient, dial, mount_remote
-from repro.fs.namespace import Namespace
-from repro.fs.vfs import VFS
-from repro.metrics.counter import MetricsRegistry
+from repro.fs.mux import MuxClient, dial
 from repro.serve import SessionHost
 from repro.serve.replica import ReplicaFeed, ReplicaStandby
-from repro.tools.servecheck import GOLDENS
-
-WIDTH, HEIGHT = 160, 60
-
-# the figures the check drives, in walkthrough order
-FIGURE_NAMES = ("fig05_headers", "fig06_messages", "fig07_stack",
-                "fig08_openline", "fig09_openline2", "fig10_uses",
-                "fig11_culprit", "fig12_mk")
+from repro.tools.scenarios import (FIGURES, HEIGHT, WIDTH, MissingGolden,
+                                   first_divergent_line, load_goldens,
+                                   record_figures, report, session_ns)
 
 HEARTBEAT = 0.1        # feed heartbeat; detection = 3 missed beats
 DETECT_TIMEOUT = 30.0  # how long the parent waits for feed silence
@@ -90,28 +85,6 @@ def _split_points(seed: int, names: list[str],
     return points
 
 
-def _record_scripts(names: list[str]) -> dict[str, dict]:
-    """Each figure's input records, split into per-write lines."""
-    from repro.tools.sessioncheck import record_figures
-
-    with MetricsRegistry("replicacheck.models").activate():
-        recorded = record_figures()
-    scripts: dict[str, dict] = {}
-    for name in names:
-        if name not in recorded:
-            raise ValueError(f"no recorded journal for figure {name!r}")
-        scripts[name] = {
-            "lines": recorded[name]["input"].splitlines(keepends=True)}
-    return scripts
-
-
-def _mount(client: MuxClient) -> Namespace:
-    ns = Namespace(VFS())
-    ns.mkdir("/s", parents=True)
-    ns.mount(mount_remote(client), "/s")
-    return ns
-
-
 # -- the child: a primary host shipping to the parent's standby -----------
 
 def run_primary(standby_host: str, standby_port: int) -> int:
@@ -129,8 +102,13 @@ def run_primary(standby_host: str, standby_port: int) -> int:
 # -- the parent: drive, kill, promote, compare ----------------------------
 
 def run_check(figures: int | None, seed: int) -> int:
-    names = list(FIGURE_NAMES[:figures] if figures else FIGURE_NAMES)
-    scripts = _record_scripts(names)
+    names = [name for name, _, _ in FIGURES][:figures]
+    # every golden up front: a missing one must not cost a primary kill
+    try:
+        goldens = load_goldens(names)
+    except MissingGolden as exc:
+        return report("replicacheck", [f"{exc.name}: {exc}"])
+    scripts = record_figures()
     points = _split_points(seed, names, scripts)
     problems: list[str] = []
 
@@ -160,7 +138,7 @@ def run_check(figures: int | None, seed: int) -> int:
         for name in names:
             client = MuxClient(dial(*addr), aname=name)
             clients.append(client)
-            ns = _mount(client)
+            ns = session_ns(client)
             count = 0
             for line in scripts[name]["lines"][:points[name]]:
                 ns.append("/s/input", line)
@@ -182,15 +160,15 @@ def run_check(figures: int | None, seed: int) -> int:
             time.sleep(HEARTBEAT / 5)
         detect_ms = (time.monotonic() - t_kill) * 1e3
 
-        report = standby.promote()
-        promote_ms = report["elapsed_us"] / 1e3
-        problems += [f"promote: {p}" for p in report["problems"]]
-        if report["sessions"] != len(names):
+        promotion = standby.promote()
+        promote_ms = promotion["elapsed_us"] / 1e3
+        problems += [f"promote: {p}" for p in promotion["problems"]]
+        if promotion["sessions"] != len(names):
             problems.append(
-                f"promotion adopted {report['sessions']} sessions, "
+                f"promotion adopted {promotion['sessions']} sessions, "
                 f"expected {len(names)}")
         print(f"replicacheck: killed pid {child.pid}, detected in "
-              f"{detect_ms:.0f}ms, promoted {report['sessions']} "
+              f"{detect_ms:.0f}ms, promoted {promotion['sessions']} "
               f"sessions in {promote_ms:.1f}ms")
 
         # every figure resumes on the promoted standby and must land
@@ -202,7 +180,7 @@ def run_check(figures: int | None, seed: int) -> int:
                 problems.append(f"{name}: re-attach failed: {exc}")
                 continue
             try:
-                ns = _mount(client)
+                ns = session_ns(client)
                 held = int(ns.read("/s/inputs"))
                 if held < acked[name]:
                     problems.append(
@@ -213,13 +191,8 @@ def run_check(figures: int | None, seed: int) -> int:
                 screen = ns.read("/s/screen")
             finally:
                 client.close()
-            golden = (GOLDENS / f"{name}.txt").read_text()
-            if screen != golden:
-                got = screen.splitlines()
-                want = golden.splitlines()
-                at = next((i + 1 for i, (g, w)
-                           in enumerate(zip(got, want)) if g != w),
-                          min(len(got), len(want)) + 1)
+            if screen != goldens[name]:
+                at = first_divergent_line(goldens[name], screen)
                 problems.append(f"{name}: post-promotion screen differs "
                                 f"from golden (first at line {at})")
 
@@ -236,12 +209,9 @@ def run_check(figures: int | None, seed: int) -> int:
         child.stdout.close()
         standby.close()
 
-    for problem in problems:
-        print(f"replicacheck: {problem}", file=sys.stderr)
-    if not problems:
-        print(f"replicacheck: all {len(names)} post-promotion screens "
-              f"byte-identical to goldens, zero acknowledged writes lost")
-    return 1 if problems else 0
+    return report("replicacheck", problems,
+                  f"all {len(names)} post-promotion screens byte-identical "
+                  f"to goldens, zero acknowledged writes lost")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -257,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
             if arg == "--figures":
                 i += 1
                 figures = int(args[i])
-                if not 1 <= figures <= len(FIGURE_NAMES):
+                if not 1 <= figures <= len(FIGURES):
                     raise ValueError(figures)
             elif arg == "--seed":
                 i += 1

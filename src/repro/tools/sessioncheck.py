@@ -4,9 +4,9 @@ PR 3's servecheck proved one session is byte-identical across the
 wire; this check proves **N concurrent sessions in one process** are
 each byte-identical *and* fully isolated from one another:
 
-1. each Figures 5-12 scenario is recorded once locally into a shadow
-   journal (PR 4's recorder), yielding the stream of input records
-   that reproduces it;
+1. each Figures 5-12 scenario is recorded once locally
+   (:func:`repro.tools.scenarios.record_figures`), yielding the stream
+   of input records that reproduces it;
 2. a :class:`~repro.serve.SessionHost` hosts the sessions; a **solo**
    pass drives every figure through one connection at a time,
    pinning the per-session baseline — rendered screen (compared
@@ -23,7 +23,8 @@ Runs over both transports (in-memory pipes with forced short reads,
 and real TCP sockets) unless narrowed::
 
     python -m repro.tools.sessioncheck [--sessions K] [--pipe | --tcp]
-                                       [--shards N] [--budget N]
+                                       [--shards N]
+    python -m repro.tools.sessioncheck --budget N
 
 With ``--shards N`` the sessions are hosted by a
 :class:`~repro.serve.ShardRouter` over N independent shard hosts
@@ -37,7 +38,8 @@ every figure session is driven, detached (which hibernates it to a
 disk snapshot), and re-attached — the woken screen must equal the
 pinned golden byte-for-byte, at most N worlds may ever be resident,
 and the wake ledger must balance (every hibernation accounted for by
-a wake or a snapshot still parked on the spool).
+a wake or a snapshot still parked on the spool).  It runs one pipe
+host, so it takes no other flag.
 
 Exit 0 when every session matches, 1 on any divergence, 2 on usage
 errors.
@@ -49,40 +51,17 @@ import sys
 import threading
 import time
 
-from repro.core.render import render_screen
-from repro.fs.mux import MuxClient, dial, mount_remote
-from repro.fs.namespace import Namespace
-from repro.fs.vfs import VFS
-from repro.journal.log import Journal
-from repro.journal.recorder import attach
+from repro.fs.mux import MuxClient, dial
 from repro.serve import SessionHost, ShardRouter
-from repro.tools.figcheck import _first_divergent_line
-from repro.tools.install import build_system
-from repro.tools.servecheck import FIGURES, GOLDENS
-
-WIDTH, HEIGHT = 160, 60
+from repro.tools.scenarios import (HEIGHT, WIDTH, MissingGolden,
+                                   first_divergent_line, load_goldens,
+                                   record_figures, report, session_ns)
 
 # Ledger entries whose values depend on connection identity (the
 # attach name's length changes frame sizes) or are transient gauges;
 # everything else must match the solo baseline exactly.
 _UNSTABLE = ("wire.bytes.",)
 _GAUGES = {"mux.inflight"}
-
-
-def record_figures() -> dict[str, dict]:
-    """Record each figure locally: its input records and final screen."""
-    scripts: dict[str, dict] = {}
-    for name, scenario, _uses_wire in FIGURES:
-        system = build_system(width=WIDTH, height=HEIGHT)
-        journal = Journal()  # shadow: records in memory only
-        attach(system.help, journal)
-        scenario(system)
-        lines = "".join(
-            f"{r.kind} {r.payload}\n" if r.payload else f"{r.kind}\n"
-            for r in journal.records if r.applies)
-        scripts[name] = {"input": lines,
-                         "screen": render_screen(system.help)}
-    return scripts
 
 
 def _ledger_of(metrics_text: str) -> dict[str, int]:
@@ -109,9 +88,7 @@ def drive_session(host: SessionHost, transport: str, addr, name: str,
         channel = host.pipe(max_chunk=13)
     client = MuxClient(channel, aname=name)
     try:
-        ns = Namespace(VFS())
-        ns.mkdir("/s", parents=True)
-        ns.mount(mount_remote(client), "/s")
+        ns = session_ns(client)
         ns.append("/s/input", script["input"])
         return {"screen": ns.read("/s/screen"),
                 "journal": ns.read("/s/journal"),
@@ -124,7 +101,7 @@ def _compare(name: str, got: dict, baseline: dict,
              golden: str) -> list[str]:
     problems: list[str] = []
     if got["screen"] != golden:
-        line = _first_divergent_line(golden, got["screen"])
+        line = first_divergent_line(golden, got["screen"])
         problems.append(f"{name}: screen differs from golden "
                         f"(first at line {line})")
     if got["journal"] != baseline["journal"]:
@@ -147,12 +124,10 @@ def check_transport(transport: str, sessions: int,
                     shards: int = 0) -> list[str]:
     """Solo baseline, then K concurrent workers, then the host audit."""
     problems: list[str] = []
-    goldens: dict[str, str] = {}
-    for name in scripts:
-        path = GOLDENS / f"{name}.txt"
-        if not path.exists():
-            return [f"{transport}: no golden at {path}"]
-        goldens[name] = path.read_text()
+    try:
+        goldens = load_goldens(scripts)
+    except MissingGolden as exc:
+        return [f"{transport}: {exc}"]
 
     if shards:
         host = ShardRouter(shards=shards, width=WIDTH, height=HEIGHT,
@@ -220,10 +195,7 @@ def _read_screen(host: SessionHost, name: str) -> str:
     """Attach (waking the session if hibernated) and read the screen."""
     client = MuxClient(host.pipe(), aname=name)
     try:
-        ns = Namespace(VFS())
-        ns.mkdir("/s", parents=True)
-        ns.mount(mount_remote(client), "/s")
-        return ns.read("/s/screen")
+        return session_ns(client).read("/s/screen")
     finally:
         client.close()
 
@@ -242,12 +214,10 @@ def _await_counter(host: SessionHost, name: str, want: int,
 def check_budget(budget: int, scripts: dict[str, dict]) -> list[str]:
     """Drive every figure through a hibernate/wake cycle under a budget."""
     problems: list[str] = []
-    goldens: dict[str, str] = {}
-    for name in scripts:
-        path = GOLDENS / f"{name}.txt"
-        if not path.exists():
-            return [f"budget: no golden at {path}"]
-        goldens[name] = path.read_text()
+    try:
+        goldens = load_goldens(scripts)
+    except MissingGolden as exc:
+        return [f"budget: {exc}"]
 
     host = SessionHost(width=WIDTH, height=HEIGHT, max_live=budget)
     try:
@@ -259,7 +229,7 @@ def check_budget(budget: int, scripts: dict[str, dict]) -> list[str]:
             except Exception as exc:  # noqa: BLE001 - the crash IS it
                 return [f"budget/{name}: session failed: {exc!r}"]
             if got["screen"] != goldens[name]:
-                line = _first_divergent_line(goldens[name], got["screen"])
+                line = first_divergent_line(goldens[name], got["screen"])
                 problems.append(f"budget/{name}: live screen differs "
                                 f"from golden (first at line {line})")
         if not _await_counter(host, "host.sessions.hibernated",
@@ -283,7 +253,7 @@ def check_budget(budget: int, scripts: dict[str, dict]) -> list[str]:
                 problems.append(f"budget/{name}: wake failed: {exc!r}")
                 continue
             if screen != goldens[name]:
-                line = _first_divergent_line(goldens[name], screen)
+                line = first_divergent_line(goldens[name], screen)
                 problems.append(f"budget/{name}: woken screen differs "
                                 f"from golden (first at line {line})")
         _await_counter(host, "host.sessions.hibernated", 2 * len(scripts))
@@ -318,7 +288,9 @@ def main(argv: list[str] | None = None) -> int:
     shards = 0
     budget = 0
     transports = ["pipe", "tcp"]
-    while args:
+    # the budget pass runs one pipe host, so --budget takes no other flag
+    usage = "--budget" in args and len(args) != 2
+    while args and not usage:
         arg = args.pop(0)
         if arg == "--sessions" and args and args[0].isdigit():
             sessions = int(args.pop(0))
@@ -331,27 +303,20 @@ def main(argv: list[str] | None = None) -> int:
         elif arg == "--tcp":
             transports = ["tcp"]
         else:
-            print("usage: sessioncheck [--sessions K] [--pipe | --tcp] "
-                  "[--shards N] [--budget N]", file=sys.stderr)
-            return 2
+            usage = True
+    if usage:
+        print("usage: sessioncheck [--sessions K] [--pipe | --tcp] "
+              "[--shards N]\n       sessioncheck --budget N", file=sys.stderr)
+        return 2
     if budget:
-        problems = check_budget(budget, record_figures())
-        for problem in problems:
-            print(f"sessioncheck: {problem}", file=sys.stderr)
-        if not problems:
-            print(f"sessioncheck: Figures 5-12 byte-identical through a "
-                  f"hibernate/wake cycle under a {budget}-world budget")
-        return 1 if problems else 0
-    problems = run(sessions, transports, shards)
-    for problem in problems:
-        print(f"sessioncheck: {problem}", file=sys.stderr)
-    if not problems:
-        hosting = (f"a {shards}-shard router" if shards
-                   else "one session host")
-        print(f"sessioncheck: Figures 5-12 byte-identical and fully "
-              f"isolated across {sessions} concurrent sessions over "
-              f"{' and '.join(transports)} on {hosting}")
-    return 1 if problems else 0
+        return report("sessioncheck", check_budget(budget, record_figures()),
+                      f"Figures 5-12 byte-identical through a hibernate/"
+                      f"wake cycle under a {budget}-world budget")
+    hosting = f"a {shards}-shard router" if shards else "one session host"
+    return report("sessioncheck", run(sessions, transports, shards),
+                  f"Figures 5-12 byte-identical and fully isolated across "
+                  f"{sessions} concurrent sessions over "
+                  f"{' and '.join(transports)} on {hosting}")
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI

@@ -18,20 +18,17 @@ import pytest
 
 from repro.fs import wire
 from repro.fs.errors import Busy, FsError, IOFault
-from repro.fs.mux import MuxClient, mount_remote
-from repro.fs.namespace import Namespace
-from repro.fs.vfs import VFS
+from repro.fs.mux import MuxClient
 from repro.serve import SessionHost, ShardRouter, input_line
 from repro.serve.replica import ReplicaFeed, ReplicaPair, ReplicaStandby
+from repro.tools.scenarios import session_ns
 
 HEARTBEAT = 0.05
 
 
 def _attach(host, aname):
     client = MuxClient(host.pipe(), aname=aname)
-    ns = Namespace(VFS())
-    ns.mkdir("/s", parents=True)
-    ns.mount(mount_remote(client), "/s")
+    ns = session_ns(client)
     return client, ns
 
 

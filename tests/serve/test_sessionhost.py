@@ -19,19 +19,16 @@ import pytest
 
 from repro.fs.errors import Busy, Closed, Invalid, IOFault, NotFound
 from repro.fs.faults import Fault, FaultPlan
-from repro.fs.mux import MuxClient, dial, mount_remote
-from repro.fs.namespace import Namespace
-from repro.fs.vfs import VFS
+from repro.fs.mux import MuxClient, dial
 from repro.serve import SessionHost, ShardRouter, input_line
+from repro.tools.scenarios import session_ns
 
 
 def _attach(host, aname, addr=None):
     """Attach one session; returns (client, namespace-with-/s-mount)."""
     channel = dial(*addr) if addr is not None else host.pipe()
     client = MuxClient(channel, aname=aname)
-    ns = Namespace(VFS())
-    ns.mkdir("/s", parents=True)
-    ns.mount(mount_remote(client), "/s")
+    ns = session_ns(client)
     return client, ns
 
 
@@ -276,18 +273,14 @@ def test_reattach_after_a_drain_takes_the_new_uname():
     router = ShardRouter(shards=2)
     try:
         old = MuxClient(router.pipe(), uname="old-owner", aname="moved")
-        ns = Namespace(VFS())
-        ns.mkdir("/s", parents=True)
-        ns.mount(mount_remote(old), "/s")
+        ns = session_ns(old)
         ns.append("/s/input", _newwin("/tmp/note", "carried text\n"))
         before = ns.read("/s/screen")
         assert router.drain_shard(router.shard_for("moved")) == ["moved"]
 
         new = MuxClient(router.pipe(), uname="new-owner", aname="moved")
         try:
-            ns2 = Namespace(VFS())
-            ns2.mkdir("/s", parents=True)
-            ns2.mount(mount_remote(new), "/s")
+            ns2 = session_ns(new)
             assert ns2.read("/s/screen") == before
             assert "moved\tnew-owner\tlive\t" in ns2.read("/s/srv/sessions")
             # stat needs one handle across write and read: drive the

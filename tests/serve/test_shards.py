@@ -17,17 +17,14 @@ import time
 import pytest
 
 from repro.fs.errors import Closed, NotFound
-from repro.fs.mux import MuxClient, mount_remote
-from repro.fs.namespace import Namespace
-from repro.fs.vfs import VFS
+from repro.fs.mux import MuxClient
 from repro.serve import ReplicaStandby, ShardRouter, input_line
+from repro.tools.scenarios import session_ns
 
 
 def _attach(router, aname):
     client = MuxClient(router.pipe(), aname=aname)
-    ns = Namespace(VFS())
-    ns.mkdir("/s", parents=True)
-    ns.mount(mount_remote(client), "/s")
+    ns = session_ns(client)
     return client, ns
 
 

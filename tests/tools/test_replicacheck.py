@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.tools import replicacheck
+from repro.tools import replicacheck, scenarios
 
 
 def test_sigkilled_primary_promotes_to_goldens():
@@ -13,8 +13,8 @@ def test_sigkilled_primary_promotes_to_goldens():
 
 
 def test_split_points_leave_every_figure_mid_stream():
-    names = list(replicacheck.FIGURE_NAMES)
-    scripts = replicacheck._record_scripts(names)
+    names = [name for name, _, _ in scenarios.FIGURES]
+    scripts = scenarios.record_figures()
     points = replicacheck._split_points(7, names, scripts)
     for name in names:
         total = len(scripts[name]["lines"])
@@ -32,3 +32,19 @@ def test_main_usage_errors(capsys):
     assert replicacheck.main(["--primary"]) == 2
     err = capsys.readouterr().err
     assert "usage" in err and "--standby" in err
+
+
+def test_missing_golden_is_reported_before_any_child_is_spawned(
+        tmp_path, monkeypatch, capsys):
+    """No golden, no kill: the check refuses before it spawns the
+    primary."""
+    monkeypatch.setattr(scenarios, "GOLDENS", tmp_path)
+
+    def spawn(*args, **kwargs):
+        raise AssertionError("the primary was spawned")
+
+    monkeypatch.setattr(replicacheck.subprocess, "Popen", spawn)
+    assert replicacheck.run_check(figures=1, seed=1) == 1
+    assert capsys.readouterr().err == (
+        f"replicacheck: fig05_headers: no golden at "
+        f"{tmp_path / 'fig05_headers.txt'}\n")

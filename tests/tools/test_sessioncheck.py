@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.tools import sessioncheck
-from repro.tools.servecheck import FIGURES
+from repro.tools.scenarios import FIGURES
 
 
 def test_concurrent_sessions_match_goldens_over_pipes():
@@ -34,4 +34,7 @@ def test_ledger_parse_drops_unstable_entries():
 
 def test_main_usage_error(capsys):
     assert sessioncheck.main(["--bogus"]) == 2
+    assert "usage:" in capsys.readouterr().err
+    # the budget pass runs one pipe host: a flag it would ignore is refused
+    assert sessioncheck.main(["--budget", "3", "--shards", "4"]) == 2
     assert "usage:" in capsys.readouterr().err
