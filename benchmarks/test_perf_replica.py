@@ -1,8 +1,8 @@
 """P9: replication — sync-ship write cost and the chaos failover soak.
 
 Two benches.  The first prices the durability guarantee: a replicated
-pair in ``sync`` mode acks a write only after the standby durably
-appended the shipped journal record, so the write round trip carries
+pair acks a write only after the standby durably appended the
+shipped journal record, so the write round trip carries
 one ship round trip (``replica.lag_us``) on top of the unreplicated
 cost.  The second is the ISSUE's acceptance run: the loadgen fleet
 drives recorded Figures 5-12 traffic through replicated shards while
@@ -33,8 +33,7 @@ SEED = 20260808  # same seed as the plain soak: same traffic, plus kills
 def test_perf_replica_ship(benchmark):
     """One input record round trip under sync journal shipping."""
     primary = SessionHost(width=100, height=40)
-    pair = ReplicaPair(primary, mode="sync", heartbeat=0.2,
-                       standby_prefix="br.")
+    pair = ReplicaPair(primary, heartbeat=0.2, standby_prefix="br.")
     try:
         client = MuxClient(primary.pipe(), aname="bench")
         ns = session_ns(client)
@@ -44,10 +43,10 @@ def test_perf_replica_ship(benchmark):
 
         pair.feed.quiesce()
         # every acked write was durably shipped before the ack
-        shipped = primary.metrics.counter("replica.ship.frames")
-        acked = primary.metrics.counter("replica.ack.frames")
+        shipped = pair.feed.metrics.counter("replica.ship.frames")
+        acked = pair.feed.metrics.counter("replica.ack.frames")
         assert shipped == acked and shipped > 0
-        lag = primary.metrics.histogram("replica.lag_us") or {}
+        lag = pair.feed.metrics.histogram("replica.lag_us") or {}
         assert lag.get("count"), "sync ship recorded no lag samples"
         benchmark.extra_info["ship_frames"] = shipped
         benchmark.extra_info["lag_p99_us"] = round(lag.get("p99", 0.0), 1)

@@ -979,29 +979,21 @@ class WireServer:
     on the reactor — the fastest path, for trees whose handlers never
     block.
 
-    ``serialize=True`` (the default) runs node operations one at a
-    time under a server-wide lock: the trees we serve (``help``'s
-    window files in particular) are not thread-safe, and the wire
-    layer's concurrency — many connections, many outstanding tags —
-    still stands.  Turn it off to bench raw transport parallelism over
-    trees that tolerate it.
+    Node operations on a bare tree run one at a time under a
+    server-wide lock: the trees we serve (``help``'s window files in
+    particular) are not thread-safe, and the wire layer's concurrency
+    — many connections, many outstanding tags — still stands.  A
+    hosted session serializes on its own ``oplock`` instead.
 
-    A :class:`~repro.fs.faults.FaultPlan` can be installed at the
-    transport boundary (``plan=``): every fid's opens, reads, writes
-    and closes consult it, with paths reported under *base*, so the
-    fault schedules from PR 2 apply unchanged to remote service.
+    To serve a tree under a :class:`~repro.fs.faults.FaultPlan`, wrap
+    the root with :func:`repro.fs.faults.wrap` before handing it over.
     """
 
     def __init__(self, root: Node | None = None, *, max_outstanding: int = 64,
-                 workers: int = 4, serialize: bool = True,
-                 plan=None, base: str = "/",
-                 clock: Clock | None = None,
+                 workers: int = 4, clock: Clock | None = None,
                  metrics=None, session_factory=None) -> None:
         if root is None and session_factory is None:
             raise TypeError("WireServer needs a root or a session factory")
-        if plan is not None and root is not None:
-            from repro.fs.faults import wrap
-            root = wrap(root, plan, base=base)
         self.root = root
         self.max_outstanding = max_outstanding
         self.clock = clock
@@ -1018,7 +1010,7 @@ class WireServer:
         # by a ReplicaStandby (repro.serve.replica); None refuses ship
         # frames with Invalid.
         self.ship_handler = None
-        self._oplock = threading.Lock() if serialize else _NullLock()
+        self._oplock = threading.Lock()
         self._executor = (ThreadPoolExecutor(max_workers=workers)
                           if workers else None)
         self._reactor = _Reactor(registry=metrics)
@@ -1140,14 +1132,6 @@ class WireServer:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-
-class _NullLock:
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc: object) -> None:
-        return None
 
 
 # -- client ------------------------------------------------------------------

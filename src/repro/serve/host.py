@@ -169,9 +169,8 @@ class HostedSession:
             if feed is not None and self.journal is not None:
                 # one full reset puts the standby at this exact journal
                 # (genesis or woken snapshot); every later flush and
-                # compaction ships through the durability hook, so in
-                # sync mode a write is acked only once the standby
-                # holds its record
+                # compaction ships through the durability hook, so a
+                # write is acked only once the standby holds its record
                 sink = self.journal.sink
                 feed.ship(self.id, "reset", self.journal.seq,
                           sink.ns.read(sink.path), meta=self.uname)
@@ -304,16 +303,12 @@ class SessionHost:
     """N isolated help sessions behind one wire server."""
 
     def __init__(self, *, width: int = 100, height: int = 40,
-                 record: bool = True, extra_tools: bool = False,
-                 metrics: MetricsRegistry | None = None,
-                 plan_for=None, id_prefix: str = "s",
-                 max_outstanding: int = 64, workers: int = 4,
-                 max_live: int | None = None,
+                 record: bool = True, plan_for=None, id_prefix: str = "s",
+                 workers: int = 4, max_live: int | None = None,
                  spool: str | pathlib.Path | None = None) -> None:
         self.width = width
         self.height = height
         self.record = record
-        self.extra_tools = extra_tools
         # plan_for(session_id) -> FaultPlan | None: a deterministic
         # fault schedule for that one session's served tree
         self.plan_for = plan_for
@@ -341,8 +336,7 @@ class SessionHost:
         # srv/replica file reports the standby side
         self.replica = None
         self.replica_status = None
-        self.metrics = metrics if metrics is not None \
-            else MetricsRegistry("host")
+        self.metrics = MetricsRegistry("host")
         self.sessions: dict[str, HostedSession] = {}
         # retired sessions' ledgers, folded as they retire — a list
         # would grow without bound under a hibernation churn of
@@ -352,7 +346,6 @@ class SessionHost:
         self._next = 1
         self.server = WireServer(metrics=self.metrics,
                                  session_factory=self._make_session,
-                                 max_outstanding=max_outstanding,
                                  workers=workers)
 
     # -- accepting connections --------------------------------------------
@@ -379,22 +372,24 @@ class SessionHost:
         """
         self.replica = feed
 
-    def _ship_note(self, session_id: str, verb: str,
-                   meta: str = "") -> None:
-        """Ship a ``drop`` or a ``state parked`` to the standby —
-        best-effort: a standby that misses one merely tracks a dead
-        session, or miscounts its promoted live/parked split.  A
-        stopped feed (shutdown or kill) ships nothing: its ``Closed``
-        would book to the host ledger, where the audit reads bleed."""
+    def _ship_note(self, session_id: str, verb: str, meta: str = "",
+                   data: str = "") -> None:
+        """Ship a ``drop``, a ``state parked`` or an adopted snapshot's
+        ``reset`` to the standby — best-effort: a standby that misses
+        one merely tracks a dead session, lacks a nominal one, or
+        miscounts its promoted live/parked split.  A stopped feed
+        (shutdown or kill) ships nothing: its ``Closed`` would book
+        ``fs.error.closed`` to the feed's ledger, which :meth:`drain`
+        folds into the bench ledger."""
         feed = self.replica
         if feed is None or feed.stopped:
             return
         try:
-            # connection-teardown threads have no metrics context; a
-            # failed ship must book to the feed, not the process
-            # default registry
+            # drain and connection-teardown threads have no metrics
+            # context; a failed ship books to the feed's ledger, not
+            # the process default registry
             with feed.metrics.activate():
-                feed.ship(session_id, verb, 0, meta=meta)
+                feed.ship(session_id, verb, 0, data, meta=meta)
         except FsError:
             pass
 
@@ -421,7 +416,6 @@ class SessionHost:
         from repro.tools.install import build_system
         return build_system(width=self.width, height=self.height,
                             user=uname or "rob",
-                            extra_tools=self.extra_tools,
                             session_id=session_id, metrics=metrics)
 
     def _make_session(self, uname: str, aname: str) -> HostedSession:
@@ -496,15 +490,10 @@ class SessionHost:
             self.hibernated[session_id] = path
             self._hibernated_uname[session_id] = uname
         self.metrics.incr("host.sessions.hib.in")
-        feed = self.replica
-        if feed is not None:
-            # the standby holds nominal sessions too: a promoted
-            # standby must re-spool them, so the snapshot ships whole
-            try:
-                feed.ship(session_id, "reset", 0, journal_text, meta=uname)
-            except FsError:
-                pass
-            self._ship_note(session_id, "state", "parked")
+        # the standby holds nominal sessions too: a promoted standby
+        # must re-spool them, so the snapshot ships whole
+        self._ship_note(session_id, "reset", uname, journal_text)
+        self._ship_note(session_id, "state", "parked")
 
     def _retire(self, session: HostedSession) -> None:
         with self._lock:
@@ -823,9 +812,9 @@ class SessionHost:
         problems: list[str] = []
         feed = self.replica
         if feed is not None:
-            shipped = self.metrics.counter("replica.ship.frames")
-            acked = self.metrics.counter("replica.ack.frames")
-            errors = self.metrics.counter("replica.ship.errors")
+            shipped = feed.metrics.counter("replica.ship.frames")
+            acked = feed.metrics.counter("replica.ack.frames")
+            errors = feed.metrics.counter("replica.ship.errors")
             inflight = feed.pending()
             if shipped != acked + inflight + errors:
                 problems.append(
@@ -842,7 +831,7 @@ class SessionHost:
         return problems
 
     def drain(self, into: MetricsRegistry | None = None) -> MetricsRegistry:
-        """Fold every ledger (host, retired, live) into *into*.
+        """Fold every ledger (host, replica feed, retired, live) into *into*.
 
         Benches call this after closing their connections so the
         process-default registry — and therefore ``BENCH_perf.json`` —
@@ -852,6 +841,8 @@ class SessionHost:
         """
         target = into if into is not None else current_registry()
         target.merge(self.metrics)
+        if self.replica is not None:
+            target.merge(self.replica.metrics)
         with self._lock:
             live = [s for s in self.sessions.values() if s is not None]
             target.merge(self._retired)

@@ -8,14 +8,13 @@ recover` run on another host.  Three pieces make that real:
   session's :attr:`~repro.journal.log.Journal.on_durable` hook and
   streams the bytes each flush/compaction made durable to the standby
   as :class:`~repro.fs.wire.Tship` frames (seq-watermarked, CRC'd per
-  frame) over an ordinary wire connection.  In ``sync`` mode the ship
-  blocks for the standby's :class:`~repro.fs.wire.Rship` ack, and
-  because the recorder flushes an input *before* applying it, a client
-  write is only acknowledged once the standby durably holds its
-  record — zero acknowledged-write loss by construction.  ``async``
-  mode trades that guarantee for latency: ships queue and drain on a
-  background thread, with the debt metered as ``replica.lag_records``
-  and ``replica.lag_us`` histograms.
+  frame) over an ordinary wire connection.  Every ship blocks for the
+  standby's :class:`~repro.fs.wire.Rship` ack, and because the
+  recorder flushes an input *before* applying it, a client write is
+  only acknowledged once the standby durably holds its record — zero
+  acknowledged-write loss by construction, priced as the
+  ``replica.lag_us`` histogram.  The feed keeps its own ledger,
+  apart from the ledger of the host whose writes it carries.
 * :class:`ReplicaStandby` — the standby side.  It wraps its own
   :class:`~repro.serve.SessionHost` and installs a ship handler on its
   wire server; per session it keeps the journal text, the live/parked
@@ -23,7 +22,9 @@ recover` run on another host.  Three pieces make that real:
   the copies into sessions: every tracked journal enters the host's
   hibernated table (``adopt_hibernated``), so every session re-attaches
   exactly like a hibernation wake — the journal tail replays through
-  ``recover()``.
+  ``recover()``.  Once promoted it is fenced: it refuses every data
+  ship, so a primary that was only presumed dead can no longer get a
+  write acknowledged that the promoted copy will never hold.
 * :class:`ReplicaPair` — the wiring: one primary, one standby, the
   feed between them, and a kill switch that severs the primary with no
   orderly teardown (the in-process stand-in for SIGKILL).
@@ -36,10 +37,11 @@ control file serves.  The ShardRouter's monitor thread polls it and
 repoints the hash slot at the promoted standby.
 
 The ledger: ``replica.ship.frames == replica.ack.frames + inflight +
-replica.ship.errors`` on the primary (audited by ``host.audit()``),
-and ``replica.sessions.promoted == replica.promoted.live +
-replica.promoted.parked`` on the standby — the lost primary's resident
-plus hibernated sessions, every one accounted for.
+replica.ship.errors`` in the feed's registry (audited by the primary's
+``host.audit()``), and ``replica.sessions.promoted ==
+replica.promoted.live + replica.promoted.parked`` on the standby — the
+lost primary's resident plus hibernated sessions, every one accounted
+for.
 """
 
 from __future__ import annotations
@@ -47,13 +49,16 @@ from __future__ import annotations
 import threading
 import time
 import zlib
-from collections import deque
 
 from repro.fs import wire
-from repro.fs.errors import Busy, Closed, FsError, IOFault
+from repro.fs.errors import Busy, Closed, FsError, IOFault, Permission
 from repro.fs.mux import MuxClient
 from repro.metrics.counter import MetricsRegistry
 from repro.serve.host import SessionHost
+
+#: Straight missed heartbeats before the standby reports the primary
+#: dead (and a router's monitor promotes it).
+HEARTBEAT_MISS = 3
 
 #: Ship frames split their data at this many characters so a frame
 #: never exceeds the wire's MAX_MESSAGE even at four bytes per char.
@@ -67,34 +72,18 @@ def _crc(data: str) -> int:
 class ReplicaFeed:
     """The primary's end of the journal stream to one standby."""
 
-    def __init__(self, channel, *, mode: str = "sync",
-                 metrics: MetricsRegistry | None = None,
-                 heartbeat: float = 0.2, timeout: float = 30.0) -> None:
-        if mode not in ("sync", "async"):
-            raise ValueError(f"replica mode {mode!r} is not sync/async")
-        self.mode = mode
+    def __init__(self, channel, *, heartbeat: float = 0.2) -> None:
         self.heartbeat = heartbeat
-        self.metrics = metrics if metrics is not None \
-            else MetricsRegistry("replica")
-        # the feed's wire client books its lifecycle noise (a torn
-        # channel when the primary dies, the close on stop) against
-        # the feed's own registry, not whatever context made the feed
-        with self.metrics.activate():
-            self._client = MuxClient(channel, attach=False, timeout=timeout)
+        # the feed's own ledger (ships, acks, lag, heartbeats), apart
+        # from the host's: a failed ship's error booked to the host
+        # would read as cross-session bleed in the host audit
+        self.metrics = MetricsRegistry("replica")
+        self._client = MuxClient(channel, attach=False)
         self._lock = threading.Lock()
         self._shipped_records = 0
         self._acked_records = 0
         self._inflight_frames = 0
         self._stopped = False
-        # async mode: ships queue here and drain strictly in order on
-        # one thread, so per-session record order is preserved
-        self._queue: deque = deque()
-        self._qcond = threading.Condition(self._lock)
-        self._drainer = None
-        if mode == "async":
-            self._drainer = threading.Thread(target=self._drain, daemon=True,
-                                             name="replica-feed")
-            self._drainer.start()
         self._beat = threading.Thread(target=self._heartbeat, daemon=True,
                                       name="replica-heartbeat")
         self._beat.start()
@@ -105,32 +94,12 @@ class ReplicaFeed:
              meta: str = "") -> None:
         """Ship one journal event for session *sid*.
 
-        ``sync``: blocks until the standby acks durability — a raise
-        here propagates up through ``Journal.flush`` into the client's
-        write, which is exactly the point.  ``async``: enqueues and
-        returns; the drain thread pays the debt.
+        Blocks until the standby acks durability — a raise here
+        propagates up through ``Journal.flush`` into the client's
+        write, which is exactly the point.
         """
-        frames = self._frames(sid, verb, seq, data, meta)
-        if self.mode == "sync":
-            for frame, records in frames:
-                self._send(frame, records, time.perf_counter())
-            return
-        with self._lock:
-            if self._stopped:
-                raise Closed("replica feed stopped", path=f"replica/{sid}",
-                             op="ship")
-            now = time.perf_counter()
-            for frame, records in frames:
-                self._queue.append((frame, records, now))
-                self._shipped_records += records
-                self._inflight_frames += 1
-                self.metrics.incr("replica.ship.frames")
-                self.metrics.incr("replica.ship.records", records)
-                self.metrics.incr("replica.ship.bytes", len(frame.data))
-                self.metrics.observe("replica.lag_records",
-                                     self._shipped_records
-                                     - self._acked_records)
-            self._qcond.notify()
+        for frame, records in self._frames(sid, verb, seq, data, meta):
+            self._send(frame, records)
 
     def _frames(self, sid: str, verb: str, seq: int, data: str,
                 meta: str) -> list[tuple[wire.Tship, int]]:
@@ -147,7 +116,8 @@ class ReplicaFeed:
                         chunk.count("\n")))
         return out
 
-    def _send(self, frame: wire.Tship, records: int, t0: float) -> None:
+    def _send(self, frame: wire.Tship, records: int) -> None:
+        t0 = time.perf_counter()
         with self._lock:
             if self._stopped:
                 raise Closed("replica feed stopped",
@@ -177,35 +147,6 @@ class ReplicaFeed:
         if reply.ack < frame.seq:
             self.metrics.incr("replica.ack.stale")
 
-    def _drain(self) -> None:  # async mode only
-        with self.metrics.activate():
-            self._drain_loop()
-
-    def _drain_loop(self) -> None:
-        while True:
-            with self._lock:
-                while not self._queue and not self._stopped:
-                    self._qcond.wait()
-                if not self._queue:
-                    return  # stopped and drained
-                frame, records, t0 = self._queue.popleft()
-            try:
-                reply = self._client.rpc(frame)
-            except (FsError, OSError):
-                with self._lock:
-                    self._inflight_frames -= 1
-                self.metrics.incr("replica.ship.errors")
-                continue
-            with self._lock:
-                self._inflight_frames -= 1
-                self._acked_records += records
-            self.metrics.incr("replica.ack.frames")
-            self.metrics.incr("replica.ack.records", records)
-            self.metrics.observe("replica.lag_us",
-                                 (time.perf_counter() - t0) * 1e6)
-            if reply.ack < frame.seq:
-                self.metrics.incr("replica.ack.stale")
-
     def _heartbeat(self) -> None:
         with self.metrics.activate():
             while True:
@@ -226,12 +167,12 @@ class ReplicaFeed:
         return self._stopped
 
     def pending(self) -> int:
-        """Frames shipped (or queued) but not yet acked."""
+        """Frames shipped but not yet acked."""
         with self._lock:
-            return self._inflight_frames + len(self._queue)
+            return self._inflight_frames
 
     def quiesce(self, timeout: float = 10.0) -> bool:
-        """Wait for the async queue to drain; True when it did."""
+        """Wait for the ships in flight to be acked; True when they were."""
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             if self.pending() == 0:
@@ -243,8 +184,8 @@ class ReplicaFeed:
         with self._lock:
             shipped = self._shipped_records
             acked = self._acked_records
-            inflight = self._inflight_frames + len(self._queue)
-        return (f"role primary\nmode {self.mode}\n"
+            inflight = self._inflight_frames
+        return ("role primary\nmode sync\n"
                 f"shipped {shipped}\nacked {acked}\n"
                 f"inflight {inflight}\n")
 
@@ -255,7 +196,6 @@ class ReplicaFeed:
             if self._stopped:
                 return
             self._stopped = True
-            self._qcond.notify_all()
         self._client.close()
 
     def __enter__(self) -> "ReplicaFeed":
@@ -288,14 +228,10 @@ class ReplicaStandby:
     """A warm spare: a SessionHost plus the shipped journal copies."""
 
     def __init__(self, *, width: int = 100, height: int = 40,
-                 extra_tools: bool = False, id_prefix: str = "rs",
-                 max_outstanding: int = 64, workers: int = 4,
-                 max_live: int | None = None, plan_for=None,
-                 heartbeat: float = 0.2) -> None:
+                 id_prefix: str = "rs", max_live: int | None = None,
+                 plan_for=None, heartbeat: float = 0.2) -> None:
         self.host = SessionHost(width=width, height=height, record=True,
-                                extra_tools=extra_tools, id_prefix=id_prefix,
-                                max_outstanding=max_outstanding,
-                                workers=workers, max_live=max_live,
+                                id_prefix=id_prefix, max_live=max_live,
                                 plan_for=plan_for)
         self.heartbeat = heartbeat
         self.metrics = self.host.metrics
@@ -303,16 +239,20 @@ class ReplicaStandby:
         self._lock = threading.Lock()
         self._tracked: dict[str, _Tracked] = {}
         self._last_feed = time.monotonic()
+        self._refusals = MetricsRegistry("replica-recv")
         self.host.server.ship_handler = self._on_ship
         self.host.replica_status = self.status_text
 
     # -- the ship handler (wire worker threads) ---------------------------
 
     def _on_ship(self, msg: wire.Tship) -> int:
-        # wire worker threads carry no metrics context of their own;
-        # errors raised here (crc mismatch, unknown verb) must book
-        # against the standby, not the process default registry
-        with self.metrics.activate():
+        # the error a refused ship (crc mismatch, fence, unknown verb)
+        # constructs books fs.error.* to the active registry: not the
+        # process default (wire workers carry no context), and not the
+        # host ledger, where the audit would read it as session bleed —
+        # the refusal is counted there as replica.recv.crc_failed,
+        # .fenced or .unknown
+        with self._refusals.activate():
             return self._apply_ship(msg)
 
     def _apply_ship(self, msg: wire.Tship) -> int:
@@ -329,6 +269,13 @@ class ReplicaStandby:
         records = msg.data.count("\n")
         with self._lock:
             self._last_feed = now
+            if self.promoted:
+                # fenced: this host owns the sessions now, so a primary
+                # still shipping was only presumed dead — its write must
+                # fail rather than be acked and then lost
+                self.metrics.incr("replica.recv.fenced")
+                raise Permission("standby promoted: feed fenced",
+                                 path=f"replica/{msg.sid}", op="ship")
             entry = self._tracked.get(msg.sid)
             if msg.verb == "reset":
                 entry = _Tracked(msg.meta or (entry.uname if entry else ""))
@@ -352,6 +299,7 @@ class ReplicaStandby:
             elif msg.verb == "drop":
                 self._tracked.pop(msg.sid, None)
             else:
+                self.metrics.incr("replica.recv.unknown")
                 raise IOFault(f"unknown ship verb {msg.verb!r}",
                               path=f"replica/{msg.sid}", op="ship")
             ack = entry.seq if entry is not None else msg.seq
@@ -367,9 +315,10 @@ class ReplicaStandby:
         with self._lock:
             return time.monotonic() - self._last_feed
 
-    def primary_alive(self, miss: int = 3) -> bool:
-        """False once *miss* heartbeat intervals pass in silence."""
-        return self.feed_age() < miss * self.heartbeat
+    def primary_alive(self) -> bool:
+        """False once ``HEARTBEAT_MISS`` heartbeat intervals pass in
+        silence."""
+        return self.feed_age() < HEARTBEAT_MISS * self.heartbeat
 
     # -- promotion --------------------------------------------------------
 
@@ -381,8 +330,9 @@ class ReplicaStandby:
         ``recover()`` replays the journal tail.  The report's
         ``live``/``parked`` split says which sessions were resident and
         which were hibernated on the dead primary.  The host keeps
-        serving as an ordinary SessionHost afterwards (the feed
-        handler keeps answering, but a dead primary ships nothing).
+        serving as an ordinary SessionHost afterwards; the feed
+        handler still answers heartbeats but refuses data ships, so a
+        primary that is not in fact dead can ack no further write.
         """
         with self._lock:
             if self.promoted:
@@ -445,18 +395,14 @@ class ReplicaStandby:
 class ReplicaPair:
     """One primary host, one standby, the feed between them."""
 
-    def __init__(self, primary: SessionHost, *, mode: str = "sync",
-                 heartbeat: float = 0.2, standby_prefix: str = "rs.",
-                 standby: ReplicaStandby | None = None) -> None:
+    def __init__(self, primary: SessionHost, *, heartbeat: float = 0.2,
+                 standby_prefix: str = "rs.") -> None:
         self.primary = primary
-        self.standby = standby if standby is not None else ReplicaStandby(
+        self.standby = ReplicaStandby(
             width=primary.width, height=primary.height,
-            extra_tools=primary.extra_tools, id_prefix=standby_prefix,
-            workers=4, max_live=primary.max_live, plan_for=primary.plan_for,
-            heartbeat=heartbeat)
-        self.standby.heartbeat = heartbeat
-        self.feed = ReplicaFeed(self.standby.host.pipe(), mode=mode,
-                                metrics=primary.metrics, heartbeat=heartbeat)
+            id_prefix=standby_prefix, max_live=primary.max_live,
+            plan_for=primary.plan_for, heartbeat=heartbeat)
+        self.feed = ReplicaFeed(self.standby.host.pipe(), heartbeat=heartbeat)
         primary.attach_replica(self.feed)
         self.killed = False
         self.killed_at: float | None = None

@@ -32,13 +32,14 @@ shard mints anonymous ids under its own prefix (``sh<i>.<n>``).
 (:class:`~repro.serve.replica.ReplicaPair`): the primary ships each
 session's journal over the wire as it becomes durable, a monitor
 thread watches the feed heartbeat, and when a primary goes silent
-(``miss`` straight heartbeats) the router **promotes** — the standby
-takes every shipped journal into its hibernated table, so each
+(``HEARTBEAT_MISS`` straight heartbeats) the router **promotes** — the
+standby takes every shipped journal into its hibernated table, so each
 session's owner re-attaches exactly like a hibernation wake, and the
-hash slot repoints to the promoted host.  ``kill_shard`` is the chaos
-hook: it crashes a primary the way SIGKILL would (connections
-severed, nothing torn down) and lets detection and promotion run for
-real.
+hash slot repoints to the promoted host.  Shipping is synchronous
+only: a write is acked once the standby holds it.  ``kill_shard`` is
+the chaos hook: it crashes a primary the way SIGKILL would
+(connections severed, nothing torn down) and lets detection and
+promotion run for real.
 """
 
 from __future__ import annotations
@@ -62,23 +63,21 @@ class ShardRouter:
     """N SessionHost shards, routed by attach name, drained live."""
 
     def __init__(self, shards: int = 4, *, width: int = 100,
-                 height: int = 40, record: bool = True,
-                 extra_tools: bool = False, max_outstanding: int = 64,
-                 workers: int = 4, max_live: int | None = None,
-                 plan_for=None, replicate: bool = False,
-                 replica_mode: str = "sync",
-                 heartbeat_interval: float = 0.2,
-                 heartbeat_miss: int = 3) -> None:
+                 height: int = 40, record: bool = True, workers: int = 4,
+                 max_live: int | None = None, plan_for=None,
+                 replicate: bool = False, replica_mode: str = "sync",
+                 heartbeat_interval: float = 0.2) -> None:
         if shards < 1:
             raise ValueError("a router needs at least one shard")
+        if replica_mode != "sync":
+            raise ValueError(f"replica mode {replica_mode!r}: journal "
+                             f"shipping is sync only")
         self.metrics = MetricsRegistry("router")
         # max_live is a per-shard budget: N shards under one router
         # hold at most shards * max_live resident worlds; plan_for is
         # shared — a fault schedule keys on session id, not placement
         self.hosts = [SessionHost(width=width, height=height,
-                                  record=record, extra_tools=extra_tools,
-                                  id_prefix=f"sh{i}.",
-                                  max_outstanding=max_outstanding,
+                                  record=record, id_prefix=f"sh{i}.",
                                   workers=workers, max_live=max_live,
                                   plan_for=plan_for)
                       for i in range(shards)]
@@ -92,7 +91,6 @@ class ShardRouter:
         self._closed = False
         # replication: one standby per shard, fed before first attach
         self.replicate = replicate
-        self.heartbeat_miss = heartbeat_miss
         self._watch_interval = heartbeat_interval
         self.pairs: list[ReplicaPair | None] = [None] * shards
         # killed primaries, kept so close() can tear their threads down
@@ -103,8 +101,7 @@ class ShardRouter:
             if not record:
                 raise ValueError("replication needs journals: record=True")
             for i, host in enumerate(self.hosts):
-                self.pairs[i] = ReplicaPair(host, mode=replica_mode,
-                                            heartbeat=heartbeat_interval,
+                self.pairs[i] = ReplicaPair(host, heartbeat=heartbeat_interval,
                                             standby_prefix=f"sh{i}r.")
             self._monitor = threading.Thread(target=self._watch,
                                              daemon=True,
@@ -203,12 +200,12 @@ class ShardRouter:
 
     def _watch(self) -> None:
         """The monitor thread: promote any pair whose primary went
-        silent for ``heartbeat_miss`` straight heartbeat intervals."""
+        silent for ``HEARTBEAT_MISS`` straight heartbeat intervals."""
         while not self._monitor_stop.wait(self._watch_interval):
             for i, pair in enumerate(self.pairs):
                 if pair is None or pair.promoted:
                     continue
-                if not pair.standby.primary_alive(self.heartbeat_miss):
+                if not pair.standby.primary_alive():
                     try:
                         self.promote_shard(i)
                     except (Busy, Closed):
@@ -235,7 +232,9 @@ class ShardRouter:
         table; the promoted host takes the dead primary's place in
         ``hosts`` — the placement hash lands on it from now on, so
         clients re-attach by the same name and wake their session
-        there.
+        there.  A primary still alive at this point (a stall taken for
+        a death) is severed like a killed one: the promoted standby
+        already refuses its ships, and its clients must re-attach here.
         Returns the promotion report, or None if already promoted.
         """
         pair = self.pairs[index]
@@ -258,12 +257,16 @@ class ShardRouter:
         self.metrics.incr("router.shards.promoted")
         self.metrics.observe("router.promote_us",
                              (time.perf_counter() - start) * 1e6)
-        if pair.killed_at is not None:
+        killed_at = pair.killed_at
+        if killed_at is None:
+            self.metrics.incr("router.shards.fenced")
+            pair.kill_primary()
+        else:
             # detection plus promotion: the availability gap a client
             # actually saw, measured from the kill
             self.metrics.observe(
                 "router.failover_us",
-                (time.monotonic() - pair.killed_at) * 1e6)
+                (time.monotonic() - killed_at) * 1e6)
         self.metrics.incr("router.promote.problems",
                           len(report.get("problems", [])))
         return report

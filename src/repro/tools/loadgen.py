@@ -652,8 +652,10 @@ class LoadGen:
         for host in list(target.hosts) + list(target.dead):
             agg.merge(host.metrics)
         for pair in target.pairs:
-            if pair is not None and not pair.promoted:
-                agg.merge(pair.standby.host.metrics)
+            if pair is not None:
+                agg.merge(pair.feed.metrics)
+                if not pair.promoted:
+                    agg.merge(pair.standby.host.metrics)
         shipped = agg.counter("replica.ship.frames")
         acked = agg.counter("replica.ack.frames")
         ship_errors = agg.counter("replica.ship.errors")

@@ -8,8 +8,8 @@ proves the replication story end to end with a **real process kill**:
    ReplicaStandby` listening on TCP and spawns a child process (this
    same module with ``--primary``) hosting the primary
    :class:`~repro.serve.SessionHost`, whose :class:`~repro.serve.
-   replica.ReplicaFeed` dials the standby over that socket in ``sync``
-   mode — every acknowledged write is durably on the standby first;
+   replica.ReplicaFeed` dials the standby over that socket — every
+   acknowledged write is durably on the standby first;
 2. each Figures 5-12 scenario is recorded locally into its input
    records (:func:`repro.tools.scenarios.record_figures`, the same
    traffic models loadgen replays); the parent attaches one session
@@ -90,8 +90,7 @@ def _split_points(seed: int, names: list[str],
 def run_primary(standby_host: str, standby_port: int) -> int:
     """Host the primary until SIGKILL takes it.  Child entry point."""
     primary = SessionHost(width=WIDTH, height=HEIGHT)
-    feed = ReplicaFeed(dial(standby_host, standby_port), mode="sync",
-                       metrics=primary.metrics, heartbeat=HEARTBEAT)
+    feed = ReplicaFeed(dial(standby_host, standby_port), heartbeat=HEARTBEAT)
     primary.attach_replica(feed)
     addr = primary.listen()
     print(f"primary {addr[0]} {addr[1]}", flush=True)
@@ -152,7 +151,7 @@ def run_check(figures: int | None, seed: int) -> int:
         os.kill(child.pid, signal.SIGKILL)
         child.wait(timeout=10)
         deadline = t_kill + DETECT_TIMEOUT
-        while standby.primary_alive(miss=3):
+        while standby.primary_alive():
             if time.monotonic() > deadline:
                 print("replicacheck: standby never noticed the kill",
                       file=sys.stderr)

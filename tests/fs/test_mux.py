@@ -13,7 +13,7 @@ from repro.fs.errors import (
     NotFound,
     Permission,
 )
-from repro.fs.faults import Fault, FaultPlan
+from repro.fs.faults import Fault, FaultPlan, wrap
 from repro.fs.mux import (
     FrameReader,
     MuxClient,
@@ -293,8 +293,7 @@ class TestBackpressure:
 
         root = SynthDir("/", list_fn=lambda: [
             SynthFile("slow", read_fn=slow_read)])
-        server = WireServer(root, max_outstanding=2, workers=2,
-                            serialize=False)
+        server = WireServer(root, max_outstanding=2, workers=2)
         client_end, server_end = channel_pair()
         server.serve(server_end)
         try:
@@ -359,7 +358,7 @@ class TestTransportFaults:
             Fault(op="open", path="/docs/a.txt", at=2),
             Fault(op="read", path="/notes.txt", at=1, short=3),
         )
-        server = WireServer(vfs.root, plan=plan)
+        server = WireServer(wrap(vfs.root, plan, base="/"))
         client_end, server_end = channel_pair()
         server.serve(server_end)
         client = MuxClient(client_end)
@@ -380,7 +379,7 @@ class TestTransportFaults:
     def test_close_time_fault_surfaces_at_clunk(self):
         vfs = make_tree()
         plan = FaultPlan(Fault(op="close", path="/notes.txt", at=1))
-        server = WireServer(vfs.root, plan=plan)
+        server = WireServer(wrap(vfs.root, plan, base="/"))
         client_end, server_end = channel_pair()
         server.serve(server_end)
         client = MuxClient(client_end)

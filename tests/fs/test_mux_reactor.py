@@ -88,8 +88,7 @@ class TestDisconnectMidRpc:
         root = SynthDir("/", list_fn=lambda: [
             SynthFile("slow", read_fn=slow_read)])
         metrics = MetricsRegistry("t")
-        server = WireServer(root, workers=2, serialize=False,
-                            metrics=metrics)
+        server = WireServer(root, workers=2, metrics=metrics)
         client_end, server_end = channel_pair()
         handle = server.serve(server_end)
         try:
@@ -125,8 +124,7 @@ class TestSlowReaderBackpressure:
         root = SynthDir("/", list_fn=lambda: [
             SynthFile("big", read_fn=lambda: big)])
         metrics = MetricsRegistry("t")
-        server = WireServer(root, metrics=metrics, serialize=False,
-                            max_outstanding=256)
+        server = WireServer(root, metrics=metrics, max_outstanding=256)
         host, port = server.listen()
         channel = dial(host, port)
         try:

@@ -1,13 +1,14 @@
 """Journal-shipping replication: feed, standby, promotion, failover.
 
-The load-bearing scenario is the ISSUE's: a primary host ships every
-durable journal event to a standby in ``sync`` mode, the primary is
-killed with no teardown whatsoever, the standby notices the feed
-silence, is promoted, and the session's owner re-attaches to find the
-screen byte-identical and every acknowledged write held — the
-``inputs`` file is the proof.  The router tests cover the monitor
-thread's end of it: detection, slot repointing, and the audit that
-folds the standby's books in.
+The load-bearing scenario: a primary host ships every durable journal
+event to a standby before acking it, the primary is killed with no
+teardown whatsoever, the standby notices the feed silence, is
+promoted, and the session's owner re-attaches to find the screen
+byte-identical and every acknowledged write held — the ``inputs``
+file is the proof.  A standby promoted over a live primary fences
+it.  The router tests cover the monitor thread's end of it:
+detection, slot repointing, and the audit that folds the standby's
+books in.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.fs import wire
 from repro.fs.errors import Busy, FsError, IOFault
 from repro.fs.mux import MuxClient
 from repro.serve import SessionHost, ShardRouter, input_line
-from repro.serve.replica import ReplicaFeed, ReplicaPair, ReplicaStandby
+from repro.serve.replica import ReplicaPair, ReplicaStandby
 from repro.tools.scenarios import session_ns
 
 HEARTBEAT = 0.05
@@ -48,8 +49,7 @@ def _wait(predicate, timeout=10.0, interval=0.01):
 @pytest.fixture
 def pair():
     primary = SessionHost(width=100, height=40)
-    p = ReplicaPair(primary, mode="sync", heartbeat=HEARTBEAT,
-                    standby_prefix="t.")
+    p = ReplicaPair(primary, heartbeat=HEARTBEAT, standby_prefix="t.")
     yield p
     p.close()
 
@@ -58,12 +58,12 @@ class TestSyncShipping:
     def test_write_is_on_standby_before_ack(self, pair):
         client, ns = _attach(pair.primary, "alice")
         ns.append("/s/input", _newwin("/tmp/note", "hello"))
-        # sync mode: by the time the append returned, the standby
+        # sync shipping: by the time the append returned, the standby
         # durably held the record — no quiesce needed
         state, records = pair.standby.tracked()["alice"]
         assert state == "live"
         assert records > 0
-        m = pair.primary.metrics
+        m = pair.feed.metrics
         assert m.counter("replica.ship.frames") \
             == m.counter("replica.ack.frames") > 0
         assert (m.histogram("replica.lag_us") or {}).get("count")
@@ -95,23 +95,28 @@ class TestSyncShipping:
         assert "role primary" in text and "mode sync" in text
         client.close()
 
+    def test_refused_ship_books_to_the_feed_not_the_host(self, pair,
+                                                         monkeypatch):
+        """A best-effort ship the standby refuses (here the ``state
+        parked`` a hibernate sends) is the feed's error: the host
+        ledger stays clean and the ship ledger still balances."""
+        client, ns = _attach(pair.primary, "alice")
+        ns.append("/s/input", _newwin("/tmp/note", "hello"))
+        apply_ship = pair.standby._apply_ship
 
-class TestAsyncShipping:
-    def test_queue_drains_in_order(self):
-        primary = SessionHost(width=100, height=40)
-        with ReplicaPair(primary, mode="async", heartbeat=HEARTBEAT,
-                         standby_prefix="t.") as p:
-            client, ns = _attach(primary, "alice")
-            for i in range(3):
-                ns.append("/s/input", _newwin(f"/tmp/n{i}", "x"))
-            assert p.feed.quiesce()
-            sink = primary.sessions["alice"].journal.sink
-            assert p.standby.journal_text("alice") \
-                == sink.ns.read(sink.path)
-            m = primary.metrics
-            assert m.counter("replica.ship.frames") \
-                == m.counter("replica.ack.frames")
+        def refuse_state(msg):
+            if msg.verb == "state":
+                raise IOFault("standby refuses", path="replica", op="ship")
+            return apply_ship(msg)
+
+        monkeypatch.setattr(pair.standby, "_apply_ship", refuse_state)
+        pair.primary.hibernate("alice")
+        try:
             client.close()
+        except (FsError, OSError):
+            pass  # the hibernate tore the connection down first
+        assert pair.feed.metrics.counter("replica.ship.errors") == 1
+        assert pair.primary.audit() == []
 
 
 class TestStandbyHandler:
@@ -123,6 +128,17 @@ class TestStandbyHandler:
                                             crc=0xDEAD, data="abc"))
             assert standby.metrics.counter("replica.recv.crc_failed") == 1
             assert "x" not in standby.tracked()
+            assert standby.host.audit() == []
+        finally:
+            standby.close()
+
+    def test_unknown_verb_is_refused_and_counted(self):
+        standby = ReplicaStandby(width=100, height=40, heartbeat=HEARTBEAT)
+        try:
+            with pytest.raises(IOFault):
+                standby._on_ship(wire.Tship(sid="x", verb="bogus", seq=1))
+            assert standby.metrics.counter("replica.recv.unknown") == 1
+            assert standby.host.audit() == []
         finally:
             standby.close()
 
@@ -140,9 +156,9 @@ class TestStandbyHandler:
             standby.close()
 
     def test_heartbeats_keep_the_primary_alive(self, pair):
-        assert _wait(lambda: pair.primary.metrics.counter(
+        assert _wait(lambda: pair.feed.metrics.counter(
             "replica.heartbeat.sent") >= 2)
-        assert pair.standby.primary_alive(miss=3)
+        assert pair.standby.primary_alive()
 
 
 class TestFailover:
@@ -154,7 +170,7 @@ class TestFailover:
         assert inputs_acked > 0
 
         pair.kill_primary()
-        assert _wait(lambda: not pair.standby.primary_alive(miss=3),
+        assert _wait(lambda: not pair.standby.primary_alive(),
                      timeout=5.0)
         report = pair.promote()[1]
         assert report["sessions"] == 1 and report["live"] == 1
@@ -222,6 +238,22 @@ class TestFailover:
         except (FsError, OSError):
             pass
 
+    def test_promoted_standby_fences_a_live_primary(self, pair):
+        """A primary promoted over while still alive (a stall taken for
+        a death) can no longer get a write acked: the promoted copy
+        would never hold it."""
+        client, ns = _attach(pair.primary, "alice")
+        ns.append("/s/input", _newwin("/tmp/note", "hello"))
+        pair.promote()
+        with pytest.raises(FsError):
+            ns.append("/s/input", _newwin("/tmp/late", "never held"))
+        assert pair.standby.metrics.counter("replica.recv.fenced") >= 1
+        client2, ns2 = _attach(pair.standby.host, "alice")
+        assert int(ns2.read("/s/inputs")) == 1
+        assert pair.standby.host.audit() == []
+        client2.close()
+        client.close()
+
     def test_killed_primary_rejects_traffic(self, pair):
         client, ns = _attach(pair.primary, "alice")
         pair.kill_primary()
@@ -256,6 +288,34 @@ class TestRouterFailover:
             client2.close()
         finally:
             router.close()
+
+    def test_promote_shard_severs_a_live_primary(self):
+        # slow heartbeats: only the explicit promote below may fire
+        router = ShardRouter(shards=2, replicate=True,
+                             heartbeat_interval=1.0)
+        try:
+            client, ns = _attach(router, "alice")
+            ns.append("/s/input", _newwin("/tmp/note", "body text"))
+            index = next(i for i, h in enumerate(router.hosts)
+                         if "alice" in h.sessions)
+
+            router.promote_shard(index)
+            assert router.pairs[index].killed
+            with pytest.raises((FsError, OSError)):
+                ns.append("/s/input", _newwin("/tmp/late", "never held"))
+            assert router.metrics.counter("router.shards.killed") == 0
+            assert router.metrics.counter("router.shards.fenced") == 1
+
+            client2, ns2 = _attach(router, "alice")
+            assert int(ns2.read("/s/inputs")) == 1
+            assert router.audit() == []
+            client2.close()
+        finally:
+            router.close()
+
+    def test_replica_mode_is_sync_only(self):
+        with pytest.raises(ValueError):
+            ShardRouter(shards=2, replicate=True, replica_mode="eventual")
 
     def test_replicate_requires_journalling(self):
         with pytest.raises(ValueError):
