@@ -21,7 +21,7 @@ import re
 import pytest
 
 from repro import build_system, render_screen
-from repro.metrics.counter import MetricsRegistry, set_default_registry
+from repro.metrics.counter import MetricsRegistry
 
 ARTIFACTS = pathlib.Path(__file__).resolve().parent.parent / "bench_artifacts"
 
@@ -75,21 +75,24 @@ def _groups_of(nodeid: str) -> list[str]:
 
 
 @pytest.fixture(autouse=True)
-def _track_perf_counters(request):
+def metrics(request):
     """Isolate each bench's metrics, then fold them into the session.
 
-    Every test runs against its own fresh :class:`MetricsRegistry`
-    installed as the default (a bench asserting on ``fs.open`` /
-    ``fs.close`` balance can't be poisoned by an earlier bench's
-    traffic) and its activity is accumulated into both its bench group
-    and the session total that ``BENCH_perf.json`` reports.  The whole
-    registry — histograms included, since the latency reports want
-    every sample — is merged into the session accumulator afterwards.
+    Every bench runs with its own fresh :class:`MetricsRegistry`
+    bound on its thread (``activate``), so a bench asserting on
+    ``fs.open`` / ``fs.close`` balance can't be poisoned by an earlier
+    bench's traffic; the fixture yields that registry as the bench
+    ledger.  Only the bench thread is bound: threads a bench starts
+    bind the ledger themselves (``with metrics.activate():``), and a
+    bench that builds a server or host merges that owner's ledger in
+    (``metrics.merge(server.metrics)``, ``host.drain()``).  The ledger
+    is accumulated into both its bench group and the session total
+    that ``BENCH_perf.json`` reports, and the whole registry —
+    histograms included, since the latency reports want every sample
+    — is merged into the session accumulator afterwards.
     """
-    registry = MetricsRegistry(request.node.nodeid)
-    previous = set_default_registry(registry)
-    yield
-    set_default_registry(previous)
+    with MetricsRegistry(request.node.nodeid).activate() as registry:
+        yield registry
     after = registry.counters()
     groups = _groups_of(request.node.nodeid) + ["__total__"]
     for group in groups:

@@ -17,7 +17,6 @@ still parked on the spool.
 import threading
 
 from repro.fs.mux import MuxClient
-from repro.metrics.counter import current_registry
 from repro.serve import SessionHost, input_line
 from repro.tools.scenarios import session_ns
 
@@ -66,12 +65,13 @@ def _wake_check(host, name) -> str:
     raise AssertionError(f"session {name} unreadable after 5 wakes")
 
 
-def _fan_out(count: int, work) -> None:
+def _fan_out(count: int, work, ledger) -> None:
     failures: list[BaseException] = []
 
     def one(idx: int) -> None:
         try:
-            work(idx)
+            with ledger.activate():
+                work(idx)
         except BaseException as exc:  # noqa: BLE001 - reraised below
             failures.append(exc)
 
@@ -85,7 +85,7 @@ def _fan_out(count: int, work) -> None:
         raise failures[0]
 
 
-def test_perf_hibernate_soak(benchmark, report_extra):
+def test_perf_hibernate_soak(benchmark, report_extra, metrics):
     """10k sessions through a MAX_LIVE budget, then a wake wave."""
     host = SessionHost(width=100, height=40, workers=WORKERS,
                        max_live=MAX_LIVE)
@@ -101,7 +101,7 @@ def test_perf_hibernate_soak(benchmark, report_extra):
                     screen = _cycle(host, f"u{i}")
                     assert f"mark u{i}" in screen
 
-            _fan_out(WORKERS, churn)
+            _fan_out(WORKERS, churn, metrics)
 
             # phase 2: wake pressure — more concurrent connections
             # than the budget fits, so the LRU sweep must hibernate
@@ -114,7 +114,7 @@ def test_perf_hibernate_soak(benchmark, report_extra):
                 assert f"mark {name}" in screen
                 barrier.wait(timeout=120)
 
-            _fan_out(WAKE_WAVE, wave)
+            _fan_out(WAKE_WAVE, wave, metrics)
             return SESSIONS
 
         cycled = benchmark.pedantic(soak, rounds=1, iterations=1)
@@ -134,7 +134,7 @@ def test_perf_hibernate_soak(benchmark, report_extra):
     # appends into the counters and imbalance the journal benches'
     # closed append==replay+dropped loop, which these sessions are
     # not part of
-    current_registry().merge(host.metrics)
+    metrics.merge(host.metrics)
     report_extra("hibernate", sessions=SESSIONS, max_live=MAX_LIVE,
                  live_peak=host.live_peak,
                  still_hibernated=len(host.hibernated))

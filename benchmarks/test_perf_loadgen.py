@@ -14,7 +14,6 @@ error-rate budget: a latency regression in any op class turns the
 bench gate red even when every ledger still balances.
 """
 
-from repro.metrics.counter import current_registry
 from repro.tools import benchgate
 from repro.tools.loadgen import LoadGen, build_models, validate
 
@@ -24,7 +23,7 @@ WORKERS = 8      # concurrent closed-loop drivers
 SEED = 20260808  # the schedule: same seed, byte-identical traffic
 
 
-def test_perf_loadgen_soak(benchmark, report_extra):
+def test_perf_loadgen_soak(benchmark, report_extra, metrics):
     """1000 recorded-journal users through 4 shards, SLOs enforced."""
     models = build_models()
     lg = LoadGen(users=USERS, shards=SHARDS, seed=SEED, workers=WORKERS,
@@ -50,7 +49,7 @@ def test_perf_loadgen_soak(benchmark, report_extra):
     # counters) into the report — a full drain() would carry every
     # session's journal appends into the counters and imbalance the
     # journal benches' closed append==replay+dropped loop
-    current_registry().merge(lg.metrics)
+    metrics.merge(lg.metrics)
     report_extra("loadgen", **report.to_dict())
     benchmark.extra_info["users"] = USERS
     benchmark.extra_info["shards"] = SHARDS

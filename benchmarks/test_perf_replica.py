@@ -59,8 +59,8 @@ def test_perf_replica_chaos_soak(benchmark, report_extra):
     """1000 users, 4 replicated shards, 3 seeded primary kills.
 
     The chaos ledgers are self-contained (a killed primary's books are
-    rightly unbalanced), so nothing here merges into the process
-    registry — the ``replica`` report section carries the verdicts.
+    rightly unbalanced), so nothing here merges into the bench
+    ledger — the ``replica`` report section carries the verdicts.
     """
     models = build_models()
     lg = LoadGen(users=USERS, shards=SHARDS, seed=SEED, workers=WORKERS,

@@ -37,7 +37,7 @@ def _drive(host, addr, name):
         client.close()
 
 
-def test_perf_session_host_concurrent_replay(benchmark):
+def test_perf_session_host_concurrent_replay(benchmark, metrics):
     """K sessions attach, replay, render and retire — all at once.
 
     Journaling is off: the benchgate invariant ``journal.append.records
@@ -57,7 +57,8 @@ def test_perf_session_host_concurrent_replay(benchmark):
 
             def one(idx: int) -> None:
                 try:
-                    screen = _drive(host, addr, f"e{epoch[0]}.w{idx}")
+                    with metrics.activate():
+                        screen = _drive(host, addr, f"e{epoch[0]}.w{idx}")
                     assert f"line {RECORDS - 1}" in screen
                 except BaseException as exc:  # noqa: BLE001 - reraised
                     failures.append(exc)

@@ -61,7 +61,7 @@ def _count_frames(channel, buf: bytearray, want: int) -> None:
             buf += chunk
 
 
-def test_perf_shards_aggregate_throughput(benchmark, report_extra):
+def test_perf_shards_aggregate_throughput(benchmark, report_extra, metrics):
     # workers=0: RPCs run inline on each shard's reactor — on shared
     # cores the thread handoff costs more than it buys.  record=False:
     # the benchgate append==replay+dropped invariant belongs to the
@@ -92,9 +92,10 @@ def test_perf_shards_aggregate_throughput(benchmark, report_extra):
         def hammer(channel) -> None:
             try:
                 buf = bytearray()
-                for _ in range(ROUNDS):
-                    channel.send(blast)
-                    _count_frames(channel, buf, WINDOW)
+                with metrics.activate():
+                    for _ in range(ROUNDS):
+                        channel.send(blast)
+                        _count_frames(channel, buf, WINDOW)
             except BaseException as exc:  # noqa: BLE001 - reraised below
                 failures.append(exc)
 

@@ -7,6 +7,8 @@ falling over.  These benches put numbers behind that: N clients over
 real TCP sockets hammering one server, plus single-RPC round-trip
 latency, all reported into ``BENCH_perf.json`` alongside the
 ``wire.rpc.*`` / ``mux.rpc.*`` latency histograms the layer records.
+The server books ``wire.*`` into its own ledger, which each bench
+merges into the bench ledger; client threads bind the bench ledger.
 """
 
 import threading
@@ -17,7 +19,7 @@ SESSIONS = 6        # concurrent clients (acceptance floor is 4)
 ROUNDS = 25         # write+read round trips per client per iteration
 
 
-def test_perf_wire_concurrent_sessions(benchmark):
+def test_perf_wire_concurrent_sessions(benchmark, metrics):
     vfs = VFS()
     for i in range(SESSIONS):
         vfs.write(f"/f{i}.txt", f"seed {i}\n" * 40)
@@ -31,11 +33,12 @@ def test_perf_wire_concurrent_sessions(benchmark):
         def hammer(idx: int) -> None:
             try:
                 node = nodes[idx]
-                for round_no in range(ROUNDS):
-                    with node.open("w") as s:
-                        s.write(f"client {idx} round {round_no}\n")
-                    with node.open("r") as s:
-                        assert s.read().startswith(f"client {idx}")
+                with metrics.activate():
+                    for round_no in range(ROUNDS):
+                        with node.open("w") as s:
+                            s.write(f"client {idx} round {round_no}\n")
+                        with node.open("r") as s:
+                            assert s.read().startswith(f"client {idx}")
             except BaseException as exc:  # noqa: BLE001 - reraised below
                 failures.append(exc)
 
@@ -55,6 +58,7 @@ def test_perf_wire_concurrent_sessions(benchmark):
         assert rpcs == SESSIONS * ROUNDS * 8
         for client in clients:
             client.close()
+    metrics.merge(server.metrics)
     benchmark.extra_info["sessions"] = SESSIONS
     benchmark.extra_info["rpcs_per_iteration"] = rpcs
     median = benchmark.stats.stats.median if benchmark.stats else None
@@ -62,7 +66,7 @@ def test_perf_wire_concurrent_sessions(benchmark):
         benchmark.extra_info["rpcs_per_sec"] = round(rpcs / median, 1)
 
 
-def test_perf_wire_rpc_latency(benchmark):
+def test_perf_wire_rpc_latency(benchmark, metrics):
     """One client, sequential round trips: the per-RPC floor."""
     vfs = VFS()
     vfs.write("/probe.txt", "payload\n")
@@ -76,9 +80,10 @@ def test_perf_wire_rpc_latency(benchmark):
                     return s.read()
 
             assert benchmark(read_once) == "payload\n"
+    metrics.merge(server.metrics)
 
 
-def test_perf_wire_large_transfer(benchmark):
+def test_perf_wire_large_transfer(benchmark, metrics):
     """A megabyte-scale body crossing the wire in framed reads."""
     vfs = VFS()
     body = ("x" * 99 + "\n") * 5000  # 500 KB
@@ -93,3 +98,4 @@ def test_perf_wire_large_transfer(benchmark):
                     return len(s.read())
 
             assert benchmark(pull) == len(body)
+    metrics.merge(server.metrics)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.cbrowse.symbols import Decl, Program, Use
 from repro.fs.namespace import Namespace
-from repro.fs.vfs import FsError, join
+from repro.fs.vfs import FsError
 from repro.shell import ast
 from repro.shell.lexer import Backquote, Lit, VarRef
 from repro.shell.parser import ParseError, parse

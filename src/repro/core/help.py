@@ -88,7 +88,7 @@ class Help:
 
     @property
     def metrics(self):
-        """This session's ledger (the process default when unscoped)."""
+        """This session's ledger (the active registry when unscoped)."""
         if self.context is not None:
             return self.context.metrics
         from repro.metrics.counter import current_registry

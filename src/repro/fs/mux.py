@@ -36,7 +36,6 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 
 from repro.fs import wire
 from repro.fs.errors import (
@@ -50,12 +49,7 @@ from repro.fs.errors import (
     NotFound,
 )
 from repro.fs.vfs import Clock, Dir, File, FileHandle, Node, basename, join, split_path
-from repro.metrics.counter import (
-    MetricsRegistry,
-    incr,
-    observe,
-    use_registry,
-)
+from repro.metrics.counter import MetricsRegistry, incr, observe
 
 _RECV_SIZE = 1 << 16
 
@@ -252,10 +246,9 @@ class FrameReader:
     in place instead of re-slicing the remainder per frame.
     """
 
-    def __init__(self, channel, bytes_counter: str | None = None) -> None:
+    def __init__(self, channel) -> None:
         self._channel = channel
         self._buf = bytearray()
-        self._bytes_counter = bytes_counter
 
     def next_frame(self) -> wire.Message | None:
         """The next complete message, or None at orderly end of stream.
@@ -281,8 +274,6 @@ class FrameReader:
                     raise IOFault("connection closed mid-frame",
                                   path="<wire>", op="read")
                 return None
-            if self._bytes_counter:
-                incr(self._bytes_counter, len(chunk))
             buf += chunk
 
 
@@ -299,12 +290,12 @@ class _Reactor:
     :meth:`submit`; a socketpair waker interrupts ``select``.
     """
 
-    def __init__(self, name: str = "wire-reactor",
-                 registry=None) -> None:
-        # the loop's fallback metrics context: errors constructed on
-        # the reactor thread outside any per-RPC binding (flushing
+    def __init__(self, registry: MetricsRegistry,
+                 name: str = "wire-reactor") -> None:
+        # the loop's base metrics binding: anything booked on the
+        # reactor thread outside a per-connection binding (flushing
         # writes to a peer that hung up, teardown of a torn channel)
-        # book against the owning server, not the process default
+        # lands in the owning server's ledger
         self._registry = registry
         self._selector = selectors.DefaultSelector()
         self._wake_r, self._wake_w = socket.socketpair()
@@ -370,10 +361,7 @@ class _Reactor:
     # -- the loop ---------------------------------------------------------
 
     def _run(self) -> None:
-        if self._registry is not None:
-            with use_registry(self._registry):
-                self._run_loop()
-        else:
+        with self._registry.activate():
             self._run_loop()
 
     def _run_loop(self) -> None:
@@ -508,12 +496,8 @@ class _Connection:
 
     def _bind(self):
         """The metrics binding for work on this connection's behalf."""
-        registry = None
-        if self.session is not None:
-            registry = getattr(self.session, "metrics", None)
-        if registry is None:
-            registry = self.server.metrics
-        return nullcontext() if registry is None else use_registry(registry)
+        registry = getattr(self.session, "metrics", None)
+        return (registry or self.server.metrics).activate()
 
     # -- reactor-side input path (reactor thread only) --------------------
 
@@ -991,19 +975,21 @@ class WireServer:
 
     def __init__(self, root: Node | None = None, *, max_outstanding: int = 64,
                  workers: int = 4, clock: Clock | None = None,
-                 metrics=None, session_factory=None) -> None:
+                 session_factory=None) -> None:
         if root is None and session_factory is None:
             raise TypeError("WireServer needs a root or a session factory")
         self.root = root
         self.max_outstanding = max_outstanding
         self.clock = clock
-        # metrics: the registry connection work reports into when no
-        # hosted session is bound (None: whatever is active).
+        # metrics: the server's own ledger.  The reactor and the worker
+        # pool book into it whenever no hosted session is bound, so
+        # every wire.* count and every error built on a server thread
+        # lands here; whoever built the server reads (or merges) it.
         # session_factory: called with (uname, aname) at attach to
         # build a per-connection hosted session — an object with a
         # ``root`` node, and optionally ``metrics`` (its private
         # ledger), ``oplock`` (its serializer) and ``close()``.
-        self.metrics = metrics
+        self.metrics = MetricsRegistry("wire-server")
         self.session_factory = session_factory
         # ship_handler: called with each wire.Tship a replica feed
         # pushes at this server; returns the ack watermark.  Installed
@@ -1013,7 +999,7 @@ class WireServer:
         self._oplock = threading.Lock()
         self._executor = (ThreadPoolExecutor(max_workers=workers)
                           if workers else None)
-        self._reactor = _Reactor(registry=metrics)
+        self._reactor = _Reactor(self.metrics)
         self._lock = threading.Lock()
         self._conns: list[_Connection] = []
         self._sockets: list[socket.socket] = []
@@ -1173,10 +1159,10 @@ class MuxClient:
         self._closed = False
         # the receiver thread starts with an empty metrics context, so
         # errors it constructs (a torn channel raising Closed/IOFault
-        # mid-frame) would land in the process default registry and
-        # poison a ledger the connection never belonged to.  They are
-        # also redundant: the caller whose rpc() the tear failed gets
-        # its own error on its own thread.  Book the noise privately.
+        # mid-frame) would land in the process registry, a ledger the
+        # connection never belonged to.  They are also redundant: the
+        # caller whose rpc() the tear failed gets its own error on its
+        # own thread.  Book the noise privately.
         self._registry = MetricsRegistry(f"mux-recv:{id(self):x}")
         self._recv_thread = threading.Thread(target=self._recv_loop,
                                              daemon=True, name="mux-recv")
@@ -1194,7 +1180,7 @@ class MuxClient:
 
     def _recv_loop(self) -> None:
         try:
-            with use_registry(self._registry):
+            with self._registry.activate():
                 while True:
                     msg = self._reader.next_frame()
                     if msg is None:

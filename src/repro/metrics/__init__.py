@@ -15,18 +15,11 @@ keyboard."  This package makes those claims measurable:
   the paper argues against.
 """
 
-from repro.metrics.counter import (InteractionStats, MetricsRegistry, counter,
-                                   counters, current_registry,
-                                   default_registry, hit_rate, histogram,
-                                   histograms, incr, observe, observe_op,
-                                   percentile, reset_counters,
-                                   reset_histograms, set_default_registry,
-                                   use_registry)
+from repro.metrics.counter import (InteractionStats, MetricsRegistry,
+                                   current_registry, incr, observe,
+                                   percentile)
 from repro.metrics.klm import KLM_TIMES, Action, Script, script_time
 
 __all__ = ["InteractionStats", "Action", "Script", "script_time", "KLM_TIMES",
-           "incr", "counter", "counters", "reset_counters", "hit_rate",
-           "observe", "observe_op", "histogram", "histograms",
-           "reset_histograms",
-           "percentile", "MetricsRegistry", "current_registry",
-           "default_registry", "set_default_registry", "use_registry"]
+           "incr", "observe", "percentile", "MetricsRegistry",
+           "current_registry"]

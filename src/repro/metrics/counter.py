@@ -12,13 +12,15 @@ bounded latency histograms — rather than in module globals, so one
 process can run many isolated ``help`` sessions (see
 :mod:`repro.serve`) without their ledgers bleeding into each other.
 
-Call sites did not have to change: the module-level :func:`incr` /
-:func:`observe` / :func:`counter` functions still exist, but they are
-a shim that delegates to the **active** registry — the one installed
-for the current execution context with :func:`use_registry` (a
-``contextvars`` binding, so each session-host worker routes to its own
-session's registry), falling back to the process-wide default that
-:func:`set_default_registry` swaps (a fresh registry per test).
+Emitters deep in the substrate do not carry a registry: the two
+module-level writers, :func:`incr` and :func:`observe`, delegate to
+the **active** registry — the one bound for the current execution
+context with :meth:`MetricsRegistry.activate` (a ``contextvars``
+binding, so each wire worker routes to its own session's or server's
+registry).  Readers never go through the shim: they name the registry
+they read.  An emit with no binding lands in one fixed, module-private
+process registry, which nothing swaps; :func:`current_registry` says
+which registry the calling context would credit.
 """
 
 from __future__ import annotations
@@ -153,13 +155,6 @@ class MetricsRegistry:
                 if key.startswith(prefix):
                     del self._counters[key]
 
-    def hit_rate(self, kind: str = "layout.cache") -> float | None:
-        """Hit rate of a hit/miss counter pair, or None if never exercised."""
-        hits = self.counter(f"{kind}_hit")
-        misses = self.counter(f"{kind}_miss")
-        total = hits + misses
-        return hits / total if total else None
-
     # -- histograms -------------------------------------------------------
 
     def observe(self, name: str, value: float) -> None:
@@ -241,107 +236,50 @@ class MetricsRegistry:
                     mine = self._reservoirs[name] = Reservoir()
                 mine.fold(theirs)
 
+    @contextmanager
     def activate(self):
-        """Bind this registry as the active one for the calling context."""
-        return use_registry(self)
+        """Bind this registry as the active one for the calling context.
+
+        A ``with`` block: module-level :func:`incr`/:func:`observe`
+        calls made anywhere under it — on this thread, in this
+        context — credit this registry.  Bindings nest, and leaving
+        the block restores whatever was bound before.
+        """
+        token = _active.set(self)
+        try:
+            yield self
+        finally:
+            _active.reset(token)
 
 
-# -- the default-registry shim ------------------------------------------------
+# -- the active-registry shim ------------------------------------------------
 
-_default_registry = MetricsRegistry("process")
+# Work with no owner — a quickstart script, a test's helper thread, an
+# FsError built on a client thread — books here.  Nothing swaps it and
+# nothing serving reads it: every thread the serving stack owns binds
+# its owner's registry.
+_PROCESS = MetricsRegistry("process")
 
-# The active registry for the current execution context.  Worker
-# threads start with an empty context, so they see the default unless
-# the code serving a session binds that session's registry explicitly
-# (repro.fs.mux binds per RPC; repro.serve binds around session work).
-_active: contextvars.ContextVar[MetricsRegistry | None] = \
-    contextvars.ContextVar("repro_metrics_registry", default=None)
+# The active registry for the current execution context.  Threads
+# start with an empty context, so they see _PROCESS until the code
+# running them binds a registry with MetricsRegistry.activate().
+_active: contextvars.ContextVar[MetricsRegistry] = \
+    contextvars.ContextVar("repro_metrics_registry", default=_PROCESS)
 
 
 def current_registry() -> MetricsRegistry:
-    """The registry module-level calls route to, right now."""
-    active = _active.get()
-    return _default_registry if active is None else active
+    """The registry :func:`incr` and :func:`observe` route to, right now."""
+    return _active.get()
 
-
-def default_registry() -> MetricsRegistry:
-    """The process-wide fallback registry."""
-    return _default_registry
-
-
-def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the process-wide default; returns the previous one.
-
-    The test suites use this for isolation: a fresh registry per test,
-    the previous one restored afterwards — no module globals mutated.
-    """
-    global _default_registry
-    previous = _default_registry
-    _default_registry = registry
-    return previous
-
-
-@contextmanager
-def use_registry(registry: MetricsRegistry):
-    """Route this context's metric calls to *registry* while active."""
-    token = _active.set(registry)
-    try:
-        yield registry
-    finally:
-        _active.reset(token)
-
-
-# Module-level API, signature-compatible with the pre-registry world:
-# every call resolves the active registry at call time.
 
 def incr(name: str, n: int = 1) -> None:
     """Add *n* to the named counter in the active registry."""
-    current_registry().incr(name, n)
-
-
-def counter(name: str) -> int:
-    """Current value of the named counter (0 if never bumped)."""
-    return current_registry().counter(name)
-
-
-def counters(prefix: str = "") -> dict[str, int]:
-    """A snapshot of all counters whose name starts with *prefix*."""
-    return current_registry().counters(prefix)
-
-
-def reset_counters(prefix: str = "") -> None:
-    """Zero the counters starting with *prefix* ('' resets everything)."""
-    current_registry().reset_counters(prefix)
+    _active.get().incr(name, n)
 
 
 def observe(name: str, value: float) -> None:
     """Record one histogram sample in the active registry."""
-    current_registry().observe(name, value)
-
-
-def observe_op(name: str, op: str, value: float) -> None:
-    """Record one sample under *name* and its per-op-class bucket."""
-    current_registry().observe_op(name, op, value)
-
-
-def histogram(name: str) -> dict[str, float] | None:
-    """Summary stats of the named histogram, or None if never observed."""
-    return current_registry().histogram(name)
-
-
-def histograms(prefix: str = "") -> dict[str, dict[str, float]]:
-    """Summaries of every histogram whose name starts with *prefix*."""
-    return current_registry().histograms(prefix)
-
-
-def reset_histograms(prefix: str = "") -> None:
-    """Drop the histograms starting with *prefix* ('' drops everything)."""
-    current_registry().reset_histograms(prefix)
-
-
-def hit_rate(kind: str = "layout.cache") -> float | None:
-    """Hit rate of a hit/miss counter pair, or None if never exercised."""
-    return current_registry().hit_rate(kind)
+    _active.get().observe(name, value)
 
 
 @dataclass

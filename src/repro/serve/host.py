@@ -336,7 +336,6 @@ class SessionHost:
         # srv/replica file reports the standby side
         self.replica = None
         self.replica_status = None
-        self.metrics = MetricsRegistry("host")
         self.sessions: dict[str, HostedSession] = {}
         # retired sessions' ledgers, folded as they retire — a list
         # would grow without bound under a hibernation churn of
@@ -344,9 +343,11 @@ class SessionHost:
         self._retired = MetricsRegistry("host:retired")
         self._lock = threading.Lock()
         self._next = 1
-        self.server = WireServer(metrics=self.metrics,
-                                 session_factory=self._make_session,
+        self.server = WireServer(session_factory=self._make_session,
                                  workers=workers)
+        # the host ledger is the server's: its reactor and pool book
+        # into it whenever no session is bound
+        self.metrics = self.server.metrics
 
     # -- accepting connections --------------------------------------------
 
@@ -385,9 +386,10 @@ class SessionHost:
         if feed is None or feed.stopped:
             return
         try:
-            # drain and connection-teardown threads have no metrics
-            # context; a failed ship books to the feed's ledger, not
-            # the process default registry
+            # a failed ship books to the feed's ledger: not the host
+            # ledger a teardown thread is bound to, where the audit
+            # would read fs.error.* as bleed, and not the unowned
+            # process registry a drain thread would otherwise credit
             with feed.metrics.activate():
                 feed.ship(session_id, verb, 0, data, meta=meta)
         except FsError:
@@ -834,10 +836,11 @@ class SessionHost:
         """Fold every ledger (host, replica feed, retired, live) into *into*.
 
         Benches call this after closing their connections so the
-        process-default registry — and therefore ``BENCH_perf.json`` —
-        carries the complete cross-session ledger (``fs.open ==
-        fs.close`` across every session hosted, ``host.sessions.*``
-        balance) for :mod:`repro.tools.benchgate` to audit.
+        bench's ledger (*into*, or the registry bound on the calling
+        thread) — and therefore ``BENCH_perf.json`` — carries the
+        complete cross-session ledger (``fs.open == fs.close`` across
+        every session hosted, ``host.sessions.*`` balance) for
+        :mod:`repro.tools.benchgate` to audit.
         """
         target = into if into is not None else current_registry()
         target.merge(self.metrics)

@@ -248,8 +248,8 @@ class ReplicaStandby:
     def _on_ship(self, msg: wire.Tship) -> int:
         # the error a refused ship (crc mismatch, fence, unknown verb)
         # constructs books fs.error.* to the active registry: not the
-        # process default (wire workers carry no context), and not the
-        # host ledger, where the audit would read it as session bleed —
+        # host ledger the wire worker is bound to, where the audit
+        # would read it as session bleed —
         # the refusal is counted there as replica.recv.crc_failed,
         # .fenced or .unknown
         with self._refusals.activate():

@@ -164,7 +164,7 @@ class ShardRouter:
         """Peek the Tattach, pick a shard, hand the channel over."""
         # routing threads carry no metrics context; errors constructed
         # here (eof mid-attach, a killed shard's server refusing the
-        # handoff) book against the router, not the process default
+        # handoff) book against the router, their owner
         with self.metrics.activate():
             self._route(channel)
 
@@ -200,16 +200,18 @@ class ShardRouter:
 
     def _watch(self) -> None:
         """The monitor thread: promote any pair whose primary went
-        silent for ``HEARTBEAT_MISS`` straight heartbeat intervals."""
-        while not self._monitor_stop.wait(self._watch_interval):
-            for i, pair in enumerate(self.pairs):
-                if pair is None or pair.promoted:
-                    continue
-                if not pair.standby.primary_alive():
-                    try:
-                        self.promote_shard(i)
-                    except (Busy, Closed):
-                        pass  # raced an explicit promote or a close
+        silent for ``HEARTBEAT_MISS`` straight heartbeat intervals.
+        What it books (a raced promote's Busy) is the router's."""
+        with self.metrics.activate():
+            while not self._monitor_stop.wait(self._watch_interval):
+                for i, pair in enumerate(self.pairs):
+                    if pair is None or pair.promoted:
+                        continue
+                    if not pair.standby.primary_alive():
+                        try:
+                            self.promote_shard(i)
+                        except (Busy, Closed):
+                            pass  # raced an explicit promote or a close
 
     def kill_shard(self, index: int) -> None:
         """Crash shard *index*'s primary (the SIGKILL stand-in).

@@ -12,10 +12,10 @@ fault plan, its journal — travels together in a
 :mod:`repro.serve` builds one per attached connection.
 
 The deep substrate (VFS traversal, frame layout, the wire codec)
-still reports metrics through the module-level shim in
+still reports metrics through the module-level ``incr``/``observe`` in
 :mod:`repro.metrics.counter`; those calls resolve the **active**
-registry at call time, so a host binds a session's context with
-:meth:`SessionContext.activate` around any work it does on that
+registry at call time, so a host binds the session's ledger with
+``context.metrics.activate()`` around any work it does on that
 session's behalf and the whole call tree lands in the right ledger.
 """
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.metrics.counter import MetricsRegistry, use_registry
+from repro.metrics.counter import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fs.faults import FaultPlan
@@ -54,20 +54,3 @@ class SessionContext:
     fault_plan: "FaultPlan | None" = None
     journal: "Journal | None" = None
     recorder: "SessionRecorder | None" = None
-
-    def activate(self):
-        """Bind this session's registry as the active one (a ``with``).
-
-        Module-level ``incr``/``observe`` calls made anywhere under the
-        ``with`` — VFS traversal, layout caching, wire dispatch —
-        credit this session's ledger instead of the process default.
-        """
-        return use_registry(self.metrics)
-
-    def incr(self, name: str, n: int = 1) -> None:
-        """Bump a counter in this session's ledger directly."""
-        self.metrics.incr(name, n)
-
-    def observe(self, name: str, value: float) -> None:
-        """Record a histogram sample in this session's ledger directly."""
-        self.metrics.observe(name, value)

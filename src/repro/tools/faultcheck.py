@@ -30,7 +30,7 @@ import sys
 
 from repro.core.help import ERRORS
 from repro.fs.faults import Fault, FaultPlan, wrap
-from repro.metrics.counter import counter, counters, reset_counters
+from repro.metrics.counter import current_registry
 from repro.core.render import render_screen
 from repro.tools.install import System, build_system
 from repro.tools.scenarios import MOUNT, report
@@ -118,9 +118,10 @@ def check_faulted(width: int, height: int) -> list[str]:
     system.ns.unmount(MOUNT)
     system.ns.mount(faulty, MOUNT)
 
-    before = counter("fs.fault.injected")
+    ledger = current_registry()  # where this thread's fs traffic lands
+    before = ledger.counter("fs.fault.injected")
     replay(system)  # skipped steps are *expected* here
-    injected = counter("fs.fault.injected") - before
+    injected = ledger.counter("fs.fault.injected") - before
 
     for rule, fired in zip(plan.faults, plan.fired):
         if rule.at != 0 and fired != 1:
@@ -149,7 +150,7 @@ def check_faulted(width: int, height: int) -> list[str]:
 
 def run(width: int = 120, height: int = 40) -> list[str]:
     """Both passes; every problem found, empty when all is well."""
-    reset_counters("fs.")
+    current_registry().reset_counters("fs.")
     problems = check_clean(width, height)
     problems += check_faulted(width, height)
     return problems
@@ -164,7 +165,8 @@ def main(argv: list[str] | None = None) -> int:
         print("usage: faultcheck [width height]", file=sys.stderr)
         return 2
     problems = run(width, height)
-    tallies = " ".join(f"{k}={v}" for k, v in sorted(counters("fs.").items()))
+    tallies = " ".join(f"{k}={v}" for k, v in
+                       sorted(current_registry().counters("fs.").items()))
     return report("faultcheck", problems,
                   "figure session survives the standard fault schedule",
                   tallies)

@@ -271,7 +271,7 @@ class LoadGen:
     discard the parked snapshots at the end, and fold the host-level
     counters into its own registry for the bench report.  Session-
     scoped counters (fs traffic, journal appends) stay inside the
-    sessions' private ledgers and never reach the process default —
+    sessions' private ledgers and never reach the bench's ledger —
     the loadgen contribution to a bench's counter section is exactly
     the host-level and client-side loadgen ledger, both balanced.
     """
@@ -307,10 +307,6 @@ class LoadGen:
         self.max_live = max_live if max_live is not None \
             else self.workers * 4 + 4
         self.metrics = MetricsRegistry("loadgen")
-        # client-side traffic runs under this registry so rehydrated
-        # taxonomy errors (fs.error.* bumps in MuxClient) never leak
-        # into the process-default ledger a bench is balancing
-        self._client_metrics = MetricsRegistry("loadgen.client")
         self._lock = threading.Lock()
         self._attached = 0
         self.problems: list[str] = []
@@ -519,26 +515,24 @@ class LoadGen:
                returning: bool) -> None:
         """Fan the visits over the worker pool (stride partition)."""
         def worker(offset: int) -> None:
-            with self._client_metrics.activate():
-                for plan in plans[offset::self.workers]:
-                    lines = by_name[plan.model].lines
-                    if self.chaos and not returning:
-                        self._chaos_visit(target, addr, plan, lines)
-                        continue
-                    try:
-                        self._visit(target, addr, plan, lines, returning)
-                    except FsError as exc:
-                        if self._faulted(plan):
-                            self.metrics.incr("loadgen.errors.faulted")
-                        else:
-                            self.metrics.incr(f"loadgen.errors.{exc.kind}")
-                            self.metrics.incr("loadgen.users.failed")
-                            self._problem(
-                                f"{plan.aname}: {exc.diagnostic()}")
-                    except Exception as exc:  # noqa: BLE001 - keep driving
-                        self.metrics.incr("loadgen.errors.exception")
+            for plan in plans[offset::self.workers]:
+                lines = by_name[plan.model].lines
+                if self.chaos and not returning:
+                    self._chaos_visit(target, addr, plan, lines)
+                    continue
+                try:
+                    self._visit(target, addr, plan, lines, returning)
+                except FsError as exc:
+                    if self._faulted(plan):
+                        self.metrics.incr("loadgen.errors.faulted")
+                    else:
+                        self.metrics.incr(f"loadgen.errors.{exc.kind}")
                         self.metrics.incr("loadgen.users.failed")
-                        self._problem(f"{plan.aname}: {exc!r}")
+                        self._problem(f"{plan.aname}: {exc.diagnostic()}")
+                except Exception as exc:  # noqa: BLE001 - keep driving
+                    self.metrics.incr("loadgen.errors.exception")
+                    self.metrics.incr("loadgen.users.failed")
+                    self._problem(f"{plan.aname}: {exc!r}")
 
         threads = [threading.Thread(target=worker, args=(i,),
                                     name=f"loadgen-w{i}")
@@ -594,7 +588,7 @@ class LoadGen:
         is zero, and the replica ship/promotion ledgers balance.
         The chaos ledgers are **self-contained**: killed hosts' books
         are rightly unbalanced, so nothing here merges into the
-        process-default registry a clean bench is balancing.
+        bench ledger a clean run is balancing.
         """
         total_writes = sum(len(by_name[p.model].lines) for p in plans)
         target = self._make_target()

@@ -40,7 +40,7 @@ from repro.fs.faults import Fault, FaultPlan, wrap
 from repro.journal import Journal, attach, scan_text
 from repro.journal.recorder import divergence, replay
 from repro.journal.recovery import recover
-from repro.metrics.counter import counter
+from repro.metrics.counter import current_registry
 from repro.tools.install import build_system
 from repro.tools.scenarios import (FIGURES, HEIGHT, JOURNAL_PATH, WIDTH,
                                    MissingGolden, fig07_stack, load_goldens,
@@ -151,6 +151,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     problems = run(screens=screens)
     mode = "with intermediate screens" if screens else "final screens"
+    counter = current_registry().counter
     return report(
         "replaycheck", problems,
         f"Figures 5-12 replay byte-identical ({mode}); crash recovery "

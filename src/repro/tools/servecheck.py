@@ -12,8 +12,9 @@ replays each of the Figures 5-12 scenarios twice over:
    driven exactly as the benchmarks drive it, with ``help``, the shell
    and the tool scripts untouched;
 3. the rendered screen is compared byte-for-byte against the pinned
-   golden (``tests/goldens/fig*.txt``), and the ``wire.rpc.*``
-   counters are checked to confirm traffic really crossed the wire.
+   golden (``tests/goldens/fig*.txt``), and the server's own
+   ``wire.rpc.*`` counters are checked to confirm traffic really
+   crossed the wire.
 
 Runs as a CLI (wired into the verify skill next to figcheck and
 faultcheck)::
@@ -36,7 +37,7 @@ from repro.fs.mux import (
     dial,
     mount_remote,
 )
-from repro.metrics.counter import counter, counters
+from repro.metrics.counter import MetricsRegistry
 from repro.tools.install import System, build_system
 from repro.tools.scenarios import (FIGURES, HEIGHT, MOUNT, WIDTH,
                                    MissingGolden, first_divergent_line,
@@ -61,8 +62,13 @@ def wire_mount(system: System, transport: str = "socket"
 
 
 def check_figure(name: str, scenario, transport: str,
-                 uses_wire: bool = True) -> list[str]:
-    """Drive one figure over the wire; report every divergence."""
+                 uses_wire: bool = True,
+                 ledger: MetricsRegistry | None = None) -> list[str]:
+    """Drive one figure over the wire; report every divergence.
+
+    The server's ledger is read directly (a fresh server counts only
+    this figure's traffic) and, when *ledger* is given, folded into it.
+    """
     problems: list[str] = []
     try:
         want = load_goldens([name])[name]
@@ -70,7 +76,6 @@ def check_figure(name: str, scenario, transport: str,
         return [f"{name}: {exc}"]
     system = build_system(width=WIDTH, height=HEIGHT)
     server, client = wire_mount(system, transport)
-    rpcs_before = counter("wire.rpc.open") + counter("wire.rpc.write")
     try:
         scenario(system)
         got = render_screen(system.help)
@@ -79,20 +84,25 @@ def check_figure(name: str, scenario, transport: str,
     finally:
         client.close()
         server.close()
+        if ledger is not None:
+            ledger.merge(server.metrics)
     if got != want:
         line = first_divergent_line(want, got)
         problems.append(f"{name}: differs from golden (first at line {line})")
-    moved = counter("wire.rpc.open") + counter("wire.rpc.write")
-    if uses_wire and moved == rpcs_before:
+    moved = (server.metrics.counter("wire.rpc.open")
+             + server.metrics.counter("wire.rpc.write"))
+    if uses_wire and not moved:
         problems.append(f"{name}: no traffic crossed the wire — the "
                         f"session bypassed the remote mount")
     return problems
 
 
-def run(transport: str = "socket") -> list[str]:
+def run(transport: str = "socket",
+        ledger: MetricsRegistry | None = None) -> list[str]:
     problems: list[str] = []
     for name, scenario, uses_wire in FIGURES:
-        problems += check_figure(name, scenario, transport, uses_wire)
+        problems += check_figure(name, scenario, transport, uses_wire,
+                                 ledger)
     return problems
 
 
@@ -104,9 +114,10 @@ def main(argv: list[str] | None = None) -> int:
     elif args:
         print("usage: servecheck [--pipe]", file=sys.stderr)
         return 2
-    problems = run(transport)
+    ledger = MetricsRegistry("servecheck")
+    problems = run(transport, ledger)
     rpcs = " ".join(f"{k.removeprefix('wire.rpc.')}={v}" for k, v in
-                    sorted(counters("wire.rpc.").items()))
+                    sorted(ledger.counters("wire.rpc.").items()))
     return report("servecheck", problems,
                   f"Figures 5-12 byte-identical over the {transport} "
                   f"transport", f"rpcs {rpcs}")

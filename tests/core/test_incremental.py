@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from repro import build_system, render_screen
 from repro.core.frame import Frame
 from repro.core.text import Text
-from repro.metrics.counter import counter
 
 
 # -- op sequences over a Text document --------------------------------------
@@ -122,13 +121,13 @@ class TestLayoutCache:
             assert (frame.origin_for_line(doc, line)
                     == frame.origin_for_line(s, line))
 
-    def test_cache_is_actually_hit(self):
+    def test_cache_is_actually_hit(self, metrics):
         doc = Text("x\n" * 50)
         frame = Frame(8, 5)
-        before = counter("layout.cache_hit")
+        before = metrics.counter("layout.cache_hit")
         frame.layout(doc, 0)
         frame.layout(doc, 0)
-        assert counter("layout.cache_hit") > before
+        assert metrics.counter("layout.cache_hit") > before
 
 
 class TestDamageTrackedRender:
@@ -179,13 +178,13 @@ class TestDamageTrackedRender:
         for seed in (3, 17, 42):
             self._random_session(seed, events=60)
 
-    def test_repeated_render_repaints_nothing(self):
+    def test_repeated_render_repaints_nothing(self, metrics):
         system = build_system(width=120, height=40)
         h = system.help
         render_screen(h)
-        before = counter("render.cells_repainted")
+        before = metrics.counter("render.cells_repainted")
         assert render_screen(h) == render_screen(h, full=True)
         # full=True paints its own grid but must not disturb the cache;
         # the damage path itself touched zero cells
-        damage_painted = counter("render.cells_repainted") - before
+        damage_painted = metrics.counter("render.cells_repainted") - before
         assert damage_painted == h.screen.rect.width * h.screen.rect.height

@@ -17,7 +17,6 @@ from repro.fs.errors import (
     TAXONOMY,
     diagnostic,
 )
-from repro.metrics.counter import counter, reset_counters
 
 
 class TestTaxonomy:
@@ -54,13 +53,13 @@ class TestTaxonomy:
         exc = Permission(path="/etc/shadow", op="open")
         assert "[perm]" in diagnostic(exc)
 
-    def test_errors_bump_kind_counters(self):
-        reset_counters("fs.error.")
+    def test_errors_bump_kind_counters(self, metrics):
+        metrics.reset_counters("fs.error.")
         NotFound(path="/a", op="open")
         NotFound(path="/b", op="open")
         Closed(path="/c", op="read")
-        assert counter("fs.error.notfound") == 2
-        assert counter("fs.error.closed") == 1
+        assert metrics.counter("fs.error.notfound") == 2
+        assert metrics.counter("fs.error.closed") == 1
 
 
 class TestRaiseSitesCarryStructure:

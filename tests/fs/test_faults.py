@@ -5,7 +5,6 @@ import pytest
 from repro.fs import VFS, Namespace
 from repro.fs.errors import Crashed, IOFault, Permission
 from repro.fs.faults import Fault, FaultPlan, wrap
-from repro.metrics.counter import counter, reset_counters
 
 
 def make_tree():
@@ -84,13 +83,13 @@ class TestFaultRules:
         handle.close()  # second close is a no-op, not a second fault
         assert plan.fired == [1]
 
-    def test_injection_counter_tracks_plan(self):
-        reset_counters("fs.fault.")
+    def test_injection_counter_tracks_plan(self, metrics):
+        metrics.reset_counters("fs.fault.")
         ns, plan = faulted_ns(Fault(op="open", path="/data/*", at=0))
         for _ in range(2):
             with pytest.raises(IOFault):
                 ns.open("/data/a")
-        assert counter("fs.fault.injected") == 2
+        assert metrics.counter("fs.fault.injected") == 2
         assert plan.injected == 2
 
     def test_reset_replays_the_schedule(self):
@@ -158,17 +157,17 @@ class TestCrashFaults:
         with pytest.raises(Crashed):  # the schedule replays: crash at 1
             handle.write("x")
 
-    def test_crash_counts_as_injection(self):
-        reset_counters("fs.fault.")
+    def test_crash_counts_as_injection(self, metrics):
+        metrics.reset_counters("fs.fault.")
         ns, plan = faulted_ns(Fault(op="write", path="/data/a", crash=True))
         with pytest.raises(Crashed):
             ns.open("/data/a", "w").write("x")
         assert plan.injected == 1
-        assert counter("fs.fault.injected") == 1
+        assert metrics.counter("fs.fault.injected") == 1
         # post-crash refusals are the dead process, not new injections
         with pytest.raises(Crashed):
             ns.open("/data/a")
-        assert counter("fs.fault.injected") == 1
+        assert metrics.counter("fs.fault.injected") == 1
 
 
 class TestWrappedTree:

@@ -25,7 +25,6 @@ from repro.fs.mux import (
 from repro.fs.namespace import Namespace
 from repro.fs.server import SynthDir, SynthFile
 from repro.fs.vfs import VFS
-from repro.metrics.counter import counter, counters
 
 
 def make_tree():
@@ -79,14 +78,15 @@ class TestBasicService:
         assert ns.exists("/mnt/far/docs/a.txt")
         assert not ns.exists("/mnt/far/docs/zzz.txt")
 
-    def test_clean_miss_is_not_an_error(self, pipe_world):
+    def test_clean_miss_is_not_an_error(self, pipe_world, metrics):
         """Probing a missing path mirrors local resolve(): no taxonomy
         error is constructed on either side of the wire."""
-        _, _, client = pipe_world
+        _, server, client = pipe_world
         root = mount_remote(client)
-        before = dict(counters("fs.error"))
+        ledgers = (metrics, server.metrics)
+        before = [ledger.counters("fs.error") for ledger in ledgers]
         assert root.lookup("absent") is None
-        assert dict(counters("fs.error")) == before
+        assert [ledger.counters("fs.error") for ledger in ledgers] == before
 
     def test_missing_file_open_raises_notfound(self, pipe_world):
         _, _, client = pipe_world
@@ -246,7 +246,7 @@ class TestConcurrency:
             client.close()
         server.close()
         assert not failures, failures
-        assert counter("mux.inflight") == 0
+        assert server.metrics.counter("mux.inflight") == 0
 
     def test_tagged_requests_multiplex_on_one_connection(self):
         """Many threads share one MuxClient; tags keep replies straight."""
@@ -405,16 +405,16 @@ class TestTransportFaults:
                 client.probe("/notes.txt")
         client.close()
 
-    def test_reply_to_a_departed_peer_books_no_error(self):
+    def test_reply_to_a_departed_peer_books_no_error(self, metrics):
         """A reply flushed after its client hung up is teardown, not an
         error: ``try_send`` reports -1 and raises nothing, so no
         ``fs.error.*`` lands on the server's ledger, where a host audit
         would read it as cross-session bleed.  ``send`` still raises."""
         client_end, server_end = channel_pair()
         client_end.close()
-        before = counter("fs.error.closed")
+        before = metrics.counter("fs.error.closed")
         assert server_end.try_send(b"orphaned reply") == -1
-        assert counter("fs.error.closed") == before
+        assert metrics.counter("fs.error.closed") == before
         with pytest.raises(Closed):
             server_end.send(b"orphaned reply")
 
@@ -485,23 +485,25 @@ class TestFidHygiene:
 
 
 class TestMetrics:
-    def test_rpc_counters_and_histograms_record(self):
-        from repro.metrics.counter import histograms
+    def test_rpc_counters_and_histograms_record(self, metrics):
+        """Server-side counts land in the server's ledger; the client's
+        round-trip histogram in the caller's."""
         vfs = make_tree()
         server = WireServer(vfs.root)
         client_end, server_end = channel_pair()
         server.serve(server_end)
         client = MuxClient(client_end)
-        before = counter("wire.rpc.read")
-        bytes_before = counter("wire.bytes.in")
+        before = server.metrics.counter("wire.rpc.read")
+        bytes_before = server.metrics.counter("wire.bytes.in")
         with mount_remote(client).lookup("notes.txt").open("r") as s:
             s.read()
-        assert counter("wire.rpc.read") == before + 1
-        assert counter("wire.bytes.in") > bytes_before
-        stats = histograms("wire.rpc.")
+        assert server.metrics.counter("wire.rpc.read") == before + 1
+        assert server.metrics.counter("wire.bytes.in") > bytes_before
+        stats = server.metrics.histograms("wire.rpc.")
         assert "wire.rpc.read" in stats
         assert stats["wire.rpc.read"]["count"] >= 1
-        assert "mux.rpc.read" in histograms("mux.rpc.")
+        assert "mux.rpc.read" in metrics.histograms("mux.rpc.")
+        assert metrics.counters("wire.") == {}
         client.close()
         server.close()
 
@@ -528,7 +530,7 @@ class TestHelpOverTheWire:
             # and the index file reads back through the wire too
             index = system.ns.read("/mnt/help/index")
             assert f"{mbox.id}\t" in index
-            assert counter("wire.rpc.open") > 0
+            assert server.metrics.counter("wire.rpc.open") > 0
         finally:
             client.close()
             server.close()

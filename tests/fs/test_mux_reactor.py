@@ -15,7 +15,6 @@ from repro.fs import wire
 from repro.fs.mux import FrameReader, WireServer, channel_pair, dial
 from repro.fs.server import SynthDir, SynthFile
 from repro.fs.vfs import VFS
-from repro.metrics.counter import MetricsRegistry
 
 
 def make_tree():
@@ -87,8 +86,7 @@ class TestDisconnectMidRpc:
 
         root = SynthDir("/", list_fn=lambda: [
             SynthFile("slow", read_fn=slow_read)])
-        metrics = MetricsRegistry("t")
-        server = WireServer(root, workers=2, metrics=metrics)
+        server = WireServer(root, workers=2)
         client_end, server_end = channel_pair()
         handle = server.serve(server_end)
         try:
@@ -110,7 +108,7 @@ class TestDisconnectMidRpc:
         assert handle.join(timeout=5) is None
         assert not handle.is_alive()
         server.close()
-        assert metrics.counter("mux.inflight") == 0
+        assert server.metrics.counter("mux.inflight") == 0
 
 
 class TestSlowReaderBackpressure:
@@ -123,8 +121,8 @@ class TestSlowReaderBackpressure:
         big = "x" * (512 * 1024)
         root = SynthDir("/", list_fn=lambda: [
             SynthFile("big", read_fn=lambda: big)])
-        metrics = MetricsRegistry("t")
-        server = WireServer(root, metrics=metrics, max_outstanding=256)
+        server = WireServer(root, max_outstanding=256)
+        metrics = server.metrics
         host, port = server.listen()
         channel = dial(host, port)
         try:

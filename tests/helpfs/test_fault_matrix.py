@@ -16,7 +16,6 @@ import pytest
 from repro import build_system, render_screen
 from repro.core.help import ERRORS
 from repro.fs import Fault, FaultPlan, wrap
-from repro.metrics.counter import counter, reset_counters
 
 pytestmark = pytest.mark.tier2_faults
 
@@ -169,9 +168,9 @@ class TestCrashMatrix:
 
 
 class TestCountersMatchSchedule:
-    def test_injection_and_error_counters_reconcile(self):
-        reset_counters("fs.error.")
-        reset_counters("fs.fault.")
+    def test_injection_and_error_counters_reconcile(self, metrics):
+        metrics.reset_counters("fs.error.")
+        metrics.reset_counters("fs.fault.")
         system, plan = faulted_system(
             Fault(op="open", path=f"{MOUNT}/new/ctl", at=1),
             Fault(op="read", path=f"{MOUNT}/index", at=1),
@@ -182,9 +181,9 @@ class TestCountersMatchSchedule:
         assert shell.run(f"cat {MOUNT}/index").status != 0
         shell.run(f"cat {MOUNT}/index")  # short read: succeeds, truncated
         assert plan.fired == [1, 1, 1]
-        assert counter("fs.fault.injected") == 3
+        assert metrics.counter("fs.fault.injected") == 3
         # only the raising rules produced errors; the short read did not
-        assert counter("fs.error.iofault") == 2
+        assert metrics.counter("fs.error.iofault") == 2
 
 
 class TestNoFaultControl:

@@ -2,7 +2,6 @@
 
 from repro.fs import VFS, Namespace
 from repro.journal import FORMAT, Journal, scan_text
-from repro.metrics.counter import counter
 
 PATH = "/tmp/test.journal"
 
@@ -27,16 +26,16 @@ class TestDurableJournal:
         assert journal.flush() == 1
         assert len(scan_text(ns.read(PATH)).records) == 1
 
-    def test_flush_batches_pending_in_one_append(self):
+    def test_flush_batches_pending_in_one_append(self, metrics):
         ns = fresh_ns()
         journal = Journal.create(ns, PATH)
         for i in range(5):
             journal.append("type", (f"t{i}",))
         assert journal.flush() == 5
-        assert counter("journal.fsync.count") == 1
-        assert counter("journal.fsync.records") == 5
+        assert metrics.counter("journal.fsync.count") == 1
+        assert metrics.counter("journal.fsync.records") == 5
         assert journal.flush() == 0  # nothing pending: no second fsync
-        assert counter("journal.fsync.count") == 1
+        assert metrics.counter("journal.fsync.count") == 1
 
     def test_sequence_is_monotonic(self):
         ns = fresh_ns()
@@ -44,7 +43,7 @@ class TestDurableJournal:
         seqs = [journal.append("type", (str(i),)).seq for i in range(4)]
         assert seqs == [1, 2, 3, 4]
 
-    def test_append_counters_by_class(self):
+    def test_append_counters_by_class(self, metrics):
         ns = fresh_ns()
         journal = Journal.create(ns, PATH)
         journal.append("type", ("x",))
@@ -52,22 +51,22 @@ class TestDurableJournal:
         journal.append("genesis", ())
         # append bookkeeping is buffered with the records and lands at
         # the flush point, one counter update per class
-        assert counter("journal.append.records") == 0
+        assert metrics.counter("journal.append.records") == 0
         journal.flush()
-        assert counter("journal.append.records") == 3
-        assert counter("journal.append.input") == 1
-        assert counter("journal.append.trace") == 1
-        assert counter("journal.append.mark") == 1
+        assert metrics.counter("journal.append.records") == 3
+        assert metrics.counter("journal.append.input") == 1
+        assert metrics.counter("journal.append.trace") == 1
+        assert metrics.counter("journal.append.mark") == 1
 
 
 class TestShadowJournal:
-    def test_no_sink_no_durable_ledger(self):
+    def test_no_sink_no_durable_ledger(self, metrics):
         journal = Journal()
         journal.append("type", ("x",))
-        assert counter("journal.shadow.records") == 1
-        assert counter("journal.append.records") == 0
+        assert metrics.counter("journal.shadow.records") == 1
+        assert metrics.counter("journal.append.records") == 0
         assert journal.flush() == 0
-        assert counter("journal.fsync.count") == 0
+        assert metrics.counter("journal.fsync.count") == 0
 
     def test_records_still_accumulate(self):
         journal = Journal()
@@ -100,23 +99,23 @@ class TestCompaction:
         journal.flush()
         assert [r.seq for r in scan_text(ns.read(PATH)).records] == [5, 6]
 
-    def test_dropped_records_are_accounted(self):
+    def test_dropped_records_are_accounted(self, metrics):
         self.compacted(before=4)
         # 4 flushed records vanished; the keep group was never durable
         # before the compact, so it is not part of the drop
-        assert counter("journal.compact.dropped") == 4
-        assert counter("journal.compact.count") == 1
+        assert metrics.counter("journal.compact.dropped") == 4
+        assert metrics.counter("journal.compact.count") == 1
 
-    def test_ledger_balances_after_compaction(self):
+    def test_ledger_balances_after_compaction(self, metrics):
         ns, journal = self.compacted(before=4)
         journal.append("type", ("suffix",))
         journal.flush()
         scan_text(ns.read(PATH))
-        appended = counter("journal.append.records")
-        assert appended == (counter("journal.replay.records")
-                            + counter("journal.compact.dropped"))
+        appended = metrics.counter("journal.append.records")
+        assert appended == (metrics.counter("journal.replay.records")
+                            + metrics.counter("journal.compact.dropped"))
 
-    def test_unflushed_pre_snapshot_records_are_subsumed(self):
+    def test_unflushed_pre_snapshot_records_are_subsumed(self, metrics):
         # a record still pending when the snapshot lands is older than
         # the snapshot: flushing it afterwards would write a sequence
         # regression, so compact discards it (and accounts for it)
@@ -132,4 +131,4 @@ class TestCompaction:
         assert [(r.kind, r.fields()) for r in scan.records] == \
             [("snapshot", ["dump"])]
         assert not scan.torn
-        assert counter("journal.compact.dropped") == 2
+        assert metrics.counter("journal.compact.dropped") == 2

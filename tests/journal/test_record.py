@@ -17,7 +17,6 @@ from repro.journal.record import (
     parse_line,
     scan_text,
 )
-from repro.metrics.counter import counter
 
 
 def journal_text(*records):
@@ -93,30 +92,30 @@ class TestScan:
     def records(self, n=4):
         return [make_record(i, "type", (f"t{i}",)) for i in range(1, n + 1)]
 
-    def test_clean_journal(self):
+    def test_clean_journal(self, metrics):
         scan = scan_text(journal_text(*self.records()))
         assert [r.seq for r in scan.records] == [1, 2, 3, 4]
         assert not scan.torn
         assert scan.dropped == 0
-        assert counter("journal.replay.records") == 4
-        assert counter("journal.checksum.failed") == 0
+        assert metrics.counter("journal.replay.records") == 4
+        assert metrics.counter("journal.checksum.failed") == 0
 
-    def test_torn_tail_keeps_intact_prefix(self):
+    def test_torn_tail_keeps_intact_prefix(self, metrics):
         text = journal_text(*self.records())
         torn = text[:-3]  # tear the last record mid-payload
         scan = scan_text(torn)
         assert [r.seq for r in scan.records] == [1, 2, 3]
         assert scan.torn
         assert scan.dropped == 1
-        assert counter("journal.checksum.failed") == 1
+        assert metrics.counter("journal.checksum.failed") == 1
 
-    def test_tear_mid_checksum_is_structural_damage(self):
+    def test_tear_mid_checksum_is_structural_damage(self, metrics):
         text = journal_text(*self.records())
         torn = text[:-10]  # leaves "4 ff28a64": too short to parse
         scan = scan_text(torn)
         assert [r.seq for r in scan.records] == [1, 2, 3]
         assert scan.torn
-        assert counter("journal.checksum.failed") == 0
+        assert metrics.counter("journal.checksum.failed") == 0
 
     def test_damage_ends_the_prefix_even_with_good_lines_after(self):
         good = self.records()

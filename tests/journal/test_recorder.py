@@ -6,7 +6,6 @@ from repro import build_system, render_screen
 from repro.journal import Journal, attach, scan_text
 from repro.journal.recorder import ReplayError, divergence, replay
 from repro.journal.record import make_record
-from repro.metrics.counter import counter, histograms
 
 PATH = "/usr/rob/help.journal"
 
@@ -93,7 +92,7 @@ class TestTraceHooks:
 
 
 class TestReplay:
-    def test_round_trip_reproduces_the_screen(self):
+    def test_round_trip_reproduces_the_screen(self, metrics):
         system, journal, _ = recorded_system()
         h = system.help
         h.execute_text(h.window_by_name("/help/mail/stf"), "headers")
@@ -102,8 +101,8 @@ class TestReplay:
         applied = replay(fresh.help, scan.records)
         assert applied == 1
         assert render_screen(fresh.help) == render_screen(h)
-        assert counter("journal.replay.applied") == 1
-        assert histograms("replay.apply_us")
+        assert metrics.counter("journal.replay.applied") == 1
+        assert metrics.histograms("replay.apply_us")
 
     def test_derived_records_are_not_reapplied(self):
         system, journal, _ = recorded_system()

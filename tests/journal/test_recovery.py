@@ -7,7 +7,6 @@ from repro.journal import Journal, attach
 from repro.journal.record import FORMAT, scan_text
 from repro.journal.recorder import ReplayError
 from repro.journal.recovery import recover
-from repro.metrics.counter import counter
 
 PATH = "/usr/rob/help.journal"
 
@@ -31,7 +30,7 @@ def reserialize(records):
 
 
 class TestRecoverWithoutSnapshot:
-    def test_full_replay_from_genesis(self):
+    def test_full_replay_from_genesis(self, metrics):
         system, _ = drive()
         text = system.ns.read(PATH)
         fresh = build_system(width=120, height=40)
@@ -40,8 +39,8 @@ class TestRecoverWithoutSnapshot:
         assert report.applied == 4
         assert not report.torn
         assert render_screen(fresh.help) == render_screen(system.help)
-        assert counter("journal.recover.count") == 1
-        assert counter("journal.recover.torn") == 0
+        assert metrics.counter("journal.recover.count") == 1
+        assert metrics.counter("journal.recover.torn") == 0
 
 
 class TestRecoverFromSnapshot:
@@ -87,7 +86,7 @@ class TestRecoverFromSnapshot:
 
 
 class TestTornJournal:
-    def test_torn_tail_recovers_to_last_applied_input(self):
+    def test_torn_tail_recovers_to_last_applied_input(self, metrics):
         system, _ = drive()
         text = system.ns.read(PATH)
         complete = build_system(width=120, height=40)
@@ -101,7 +100,7 @@ class TestTornJournal:
         assert report.torn
         assert report.dropped == 1
         assert report.applied == 3
-        assert counter("journal.recover.torn") == 1
+        assert metrics.counter("journal.recover.torn") == 1
         assert fresh.help.current != complete.help.current
 
     def test_incomplete_snapshot_group_is_skipped(self):

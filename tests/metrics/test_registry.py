@@ -3,8 +3,8 @@
 The session-scoped architecture hangs off three properties proved
 here: ``incr`` is atomic under contention (the mux worker pool bumps
 shared counters concurrently), histograms hold bounded memory however
-long a host runs, and the module-level shim routes every legacy call
-site to whichever registry is active for the calling context.
+long a host runs, and the module-level ``incr``/``observe`` route to
+whichever registry ``activate()`` bound for the calling context.
 """
 
 from __future__ import annotations
@@ -17,12 +17,9 @@ from repro.metrics.counter import (
     RESERVOIR_CAP,
     MetricsRegistry,
     Reservoir,
-    counter,
     current_registry,
     incr,
     percentile,
-    set_default_registry,
-    use_registry,
 )
 
 
@@ -55,11 +52,11 @@ def test_threaded_incr_loses_no_updates():
 
 
 def test_threaded_shim_respects_per_thread_binding():
-    """Each thread's use_registry binding routes only its own calls."""
+    """Each thread's activate() binding routes only its own calls."""
     registries = [MetricsRegistry(f"t{i}") for i in range(4)]
 
     def work(registry):
-        with use_registry(registry):
+        with registry.activate():
             for _ in range(1_000):
                 incr("bound.count")
 
@@ -87,14 +84,6 @@ def test_counter_basics_and_prefix_reset():
     assert registry.counter("b.one") == 1
     registry.reset_counters()
     assert registry.counters() == {}
-
-
-def test_hit_rate():
-    registry = MetricsRegistry()
-    assert registry.hit_rate() is None
-    registry.incr("layout.cache_hit", 3)
-    registry.incr("layout.cache_miss", 1)
-    assert registry.hit_rate() == 0.75
 
 
 # -- bounded histograms -------------------------------------------------------
@@ -166,38 +155,28 @@ def test_reservoir_fold_merges_exact_moments():
 # -- the default/active plumbing ----------------------------------------------
 
 
-def test_module_shim_routes_to_active_registry():
+def test_module_shim_routes_to_active_registry(metrics):
     mine = MetricsRegistry("mine")
-    incr("shim.count")  # default registry (the test fixture's)
-    with use_registry(mine):
+    incr("shim.count")  # the test's own binding (the metrics fixture)
+    with mine.activate() as bound:
+        assert bound is mine
         incr("shim.count", 2)
         assert current_registry() is mine
     assert mine.counter("shim.count") == 2
-    assert counter("shim.count") == 1
-    assert current_registry() is not mine
+    assert metrics.counter("shim.count") == 1
+    assert current_registry() is metrics
 
 
-def test_use_registry_nests_and_restores():
+def test_activate_nests_and_restores():
     outer, inner = MetricsRegistry("outer"), MetricsRegistry("inner")
-    with use_registry(outer):
-        with use_registry(inner):
+    with outer.activate():
+        with inner.activate():
             incr("n")
             assert current_registry() is inner
         incr("n")
         assert current_registry() is outer
     assert inner.counter("n") == 1
     assert outer.counter("n") == 1
-
-
-def test_set_default_registry_swaps_and_returns_previous():
-    fresh = MetricsRegistry("fresh")
-    previous = set_default_registry(fresh)
-    try:
-        incr("swapped")
-        assert fresh.counter("swapped") == 1
-        assert previous.counter("swapped") == 0
-    finally:
-        set_default_registry(previous)
 
 
 def test_merge_folds_counters_and_histograms():
