@@ -85,9 +85,9 @@ def metrics(request):
     ledger.  Only the bench thread is bound: threads a bench starts
     bind the ledger themselves (``with metrics.activate():``), and a
     bench that builds a server or host merges that owner's ledger in
-    (``metrics.merge(server.metrics)``, ``host.drain()``).  The ledger
-    is accumulated into both its bench group and the session total
-    that ``BENCH_perf.json`` reports, and the whole registry —
+    (``metrics.merge(server.metrics)``, ``host.drain(metrics)``).  The
+    ledger is accumulated into both its bench group and the session
+    total that ``BENCH_perf.json`` reports, and the whole registry —
     histograms included, since the latency reports want every sample
     — is merged into the session accumulator afterwards.
     """

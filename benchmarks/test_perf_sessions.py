@@ -78,7 +78,7 @@ def test_perf_session_host_concurrent_replay(benchmark, metrics):
     finally:
         host.close()
     assert host.audit() == []
-    host.drain()  # the complete cross-session ledger -> BENCH_perf.json
+    host.drain(metrics)  # the complete cross-session ledger -> BENCH_perf.json
     benchmark.extra_info["sessions"] = SESSIONS
     benchmark.extra_info["records_per_session"] = RECORDS
     median = benchmark.stats.stats.median if benchmark.stats else None
@@ -86,7 +86,7 @@ def test_perf_session_host_concurrent_replay(benchmark, metrics):
         benchmark.extra_info["records_per_sec"] = round(applied / median, 1)
 
 
-def test_perf_session_attach_teardown(benchmark):
+def test_perf_session_attach_teardown(benchmark, metrics):
     """The cost of one whole session lifecycle: attach, apply, retire."""
     host = SessionHost(width=160, height=60, record=False)
     serial = [0]
@@ -100,4 +100,4 @@ def test_perf_session_attach_teardown(benchmark):
     finally:
         host.close()
     assert host.audit() == []
-    host.drain()
+    host.drain(metrics)

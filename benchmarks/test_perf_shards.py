@@ -126,7 +126,7 @@ def test_perf_shards_aggregate_throughput(benchmark, report_extra, metrics):
         per_shard.append({"shard": index, "attached": opened,
                           "clunked": closed})
         assert opened == closed, f"shard {index} leaked sessions"
-    router.drain()
+    router.drain(metrics)
 
     # deposit the ledger with the conftest too: extra_info reaches the
     # report only on timed runs, and the gate audits per_shard either way

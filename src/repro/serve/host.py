@@ -68,7 +68,7 @@ from repro.fs.server import SynthDir, SynthFile, SynthSession
 from repro.journal.log import Journal
 from repro.journal.record import APPLY_KINDS, Record, enc
 from repro.journal.recorder import apply_record, attach
-from repro.metrics.counter import MetricsRegistry, current_registry
+from repro.metrics.counter import MetricsRegistry
 
 
 def journal_path(session_id: str) -> str:
@@ -832,23 +832,21 @@ class SessionHost:
                 f"{promoted} != live {p_live} + parked {p_parked}")
         return problems
 
-    def drain(self, into: MetricsRegistry | None = None) -> MetricsRegistry:
+    def drain(self, into: MetricsRegistry) -> MetricsRegistry:
         """Fold every ledger (host, replica feed, retired, live) into *into*.
 
         Benches call this after closing their connections so the
-        bench's ledger (*into*, or the registry bound on the calling
-        thread) — and therefore ``BENCH_perf.json`` — carries the
-        complete cross-session ledger (``fs.open == fs.close`` across
-        every session hosted, ``host.sessions.*`` balance) for
-        :mod:`repro.tools.benchgate` to audit.
+        bench's ledger (*into*) — and therefore ``BENCH_perf.json`` —
+        carries the complete cross-session ledger (``fs.open ==
+        fs.close`` across every session hosted, ``host.sessions.*``
+        balance) for :mod:`repro.tools.benchgate` to audit.
         """
-        target = into if into is not None else current_registry()
-        target.merge(self.metrics)
+        into.merge(self.metrics)
         if self.replica is not None:
-            target.merge(self.replica.metrics)
+            into.merge(self.replica.metrics)
         with self._lock:
             live = [s for s in self.sessions.values() if s is not None]
-            target.merge(self._retired)
+            into.merge(self._retired)
         for session in live:
-            target.merge(session.metrics)
-        return target
+            into.merge(session.metrics)
+        return into

@@ -52,7 +52,7 @@ import zlib
 from repro.fs import wire
 from repro.fs.errors import Busy, Closed, FsError, Invalid, NotFound
 from repro.fs.mux import SocketChannel, channel_pair
-from repro.metrics.counter import MetricsRegistry, current_registry
+from repro.metrics.counter import MetricsRegistry
 from repro.serve.host import SessionHost
 from repro.serve.replica import ReplicaPair
 
@@ -431,16 +431,15 @@ class ShardRouter:
         self.metrics.incr("router.sessions.dup", dups)
         return problems
 
-    def drain(self, into: MetricsRegistry | None = None) -> MetricsRegistry:
+    def drain(self, into: MetricsRegistry) -> MetricsRegistry:
         """Fold the router ledger and every shard's ledgers into *into*."""
-        target = into if into is not None else current_registry()
-        target.merge(self.metrics)
+        into.merge(self.metrics)
         for host in self.hosts:
-            host.drain(target)
+            host.drain(into)
         for pair in self.pairs:
             if pair is not None and not pair.promoted:
-                pair.standby.host.drain(target)
-        return target
+                pair.standby.host.drain(into)
+        return into
 
     # -- lifecycle --------------------------------------------------------
 

@@ -37,7 +37,7 @@ from repro.fs.mux import (
     dial,
     mount_remote,
 )
-from repro.metrics.counter import MetricsRegistry
+from repro.metrics.counter import MetricsRegistry, current_registry
 from repro.tools.install import System, build_system
 from repro.tools.scenarios import (FIGURES, HEIGHT, MOUNT, WIDTH,
                                    MissingGolden, first_divergent_line,
@@ -62,12 +62,11 @@ def wire_mount(system: System, transport: str = "socket"
 
 
 def check_figure(name: str, scenario, transport: str,
-                 uses_wire: bool = True,
-                 ledger: MetricsRegistry | None = None) -> list[str]:
+                 uses_wire: bool = True) -> list[str]:
     """Drive one figure over the wire; report every divergence.
 
     The server's ledger is read directly (a fresh server counts only
-    this figure's traffic) and, when *ledger* is given, folded into it.
+    this figure's traffic) and then folded into the caller's registry.
     """
     problems: list[str] = []
     try:
@@ -84,8 +83,7 @@ def check_figure(name: str, scenario, transport: str,
     finally:
         client.close()
         server.close()
-        if ledger is not None:
-            ledger.merge(server.metrics)
+        current_registry().merge(server.metrics)
     if got != want:
         line = first_divergent_line(want, got)
         problems.append(f"{name}: differs from golden (first at line {line})")
@@ -97,12 +95,10 @@ def check_figure(name: str, scenario, transport: str,
     return problems
 
 
-def run(transport: str = "socket",
-        ledger: MetricsRegistry | None = None) -> list[str]:
+def run(transport: str = "socket") -> list[str]:
     problems: list[str] = []
     for name, scenario, uses_wire in FIGURES:
-        problems += check_figure(name, scenario, transport, uses_wire,
-                                 ledger)
+        problems += check_figure(name, scenario, transport, uses_wire)
     return problems
 
 
@@ -114,8 +110,8 @@ def main(argv: list[str] | None = None) -> int:
     elif args:
         print("usage: servecheck [--pipe]", file=sys.stderr)
         return 2
-    ledger = MetricsRegistry("servecheck")
-    problems = run(transport, ledger)
+    with MetricsRegistry("servecheck").activate() as ledger:
+        problems = run(transport)
     rpcs = " ".join(f"{k.removeprefix('wire.rpc.')}={v}" for k, v in
                     sorted(ledger.counters("wire.rpc.").items()))
     return report("servecheck", problems,

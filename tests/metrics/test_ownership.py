@@ -19,9 +19,10 @@ from repro.fs.vfs import VFS
 from repro.metrics.counter import MetricsRegistry, current_registry
 from repro.serve import SessionHost
 
-# what the wire path books: server counts, the in-flight gauge, and
-# the taxonomy errors raised on either side of the wire
-WIRE_PREFIXES = ("wire.", "mux.", "fs.error.")
+# the server-side keys the traffic below drives: the RPC counts, the
+# in-flight gauge and the error raised in the server's handler
+SERVER_KEYS = ("wire.rpc.attach", "wire.rpc.walk", "wire.rpc.open",
+               "mux.inflight", "fs.error.invalid")
 
 
 def unowned_registry() -> MetricsRegistry:
@@ -33,9 +34,8 @@ def unowned_registry() -> MetricsRegistry:
     return found[0]
 
 
-def wire_books(registry: MetricsRegistry) -> dict[str, int]:
-    return {name: value for name, value in registry.counters().items()
-            if name.startswith(WIRE_PREFIXES)}
+def server_books(registry: MetricsRegistry) -> dict[str, int]:
+    return {name: registry.counter(name) for name in SERVER_KEYS}
 
 
 def error_then_tear(channel, path: str) -> None:
@@ -51,15 +51,15 @@ def error_then_tear(channel, path: str) -> None:
 @pytest.mark.parametrize("workers", [4, 0], ids=["pool", "inline"])
 def test_bare_server_books_into_its_own_ledger(workers, metrics):
     unowned = unowned_registry()
-    before = wire_books(unowned)
     vfs = VFS()
     vfs.write("/notes.txt", "top note\n")
     server = WireServer(vfs.root, clock=vfs.clock, workers=workers)
     client_end, server_end = channel_pair()
     server.serve(server_end)
+    before = server_books(unowned)
     error_then_tear(client_end, "/notes.txt")
     server.close()
-    assert wire_books(unowned) == before
+    assert server_books(unowned) == before
     books = server.metrics
     assert books.counters("wire.rpc.") == {
         "wire.rpc.attach": 1, "wire.rpc.walk": 2, "wire.rpc.open": 1}
@@ -73,11 +73,12 @@ def test_bare_server_books_into_its_own_ledger(workers, metrics):
 
 def test_session_host_books_into_its_own_ledgers(metrics):
     unowned = unowned_registry()
-    before = wire_books(unowned)
     host = SessionHost(record=False)
-    error_then_tear(host.pipe(), "/id")
+    channel = host.pipe()
+    before = server_books(unowned)
+    error_then_tear(channel, "/id")
     host.close()
-    assert wire_books(unowned) == before
+    assert server_books(unowned) == before
     # the attach is the host's; the session's own RPCs are the session's
     assert host.metrics.counters("wire.rpc.") == {"wire.rpc.attach": 1}
     total = host.drain(into=MetricsRegistry("roll-up"))
